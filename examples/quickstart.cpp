@@ -18,13 +18,12 @@ int main() {
 
   // 2. One synchronous run, watching the informed set grow.
   rumor::rng::Engine eng = rumor::rng::derive_stream(/*seed=*/42, /*stream=*/0);
-  rumor::core::SyncOptions sync_opts;
-  sync_opts.record_history = true;
-  const auto sync = rumor::core::run_sync(g, /*source=*/0, eng, sync_opts);
+  const auto sync = rumor::core::run_sync(g, /*source=*/0, eng);
   std::printf("\none sync push-pull run: %llu rounds\n",
               static_cast<unsigned long long>(sync.rounds));
-  for (std::size_t r = 0; r < sync.informed_count_history.size(); ++r) {
-    std::printf("  round %2zu: %4u informed\n", r, sync.informed_count_history[r]);
+  const auto curve = rumor::core::informed_round_curve(sync.informed_round, sync.rounds);
+  for (std::size_t r = 0; r < curve.size(); ++r) {
+    std::printf("  round %2zu: %4u informed\n", r, curve[r]);
   }
 
   // 3. One asynchronous run (Poisson clocks, measured in time units).

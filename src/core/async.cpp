@@ -77,7 +77,7 @@ AsyncResult run_global_clock(const Graph& g, NodeId source, rng::Engine& eng,
     const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
     if (options.probe != nullptr) {
       probe_instant(*options.probe, options.mode, result.informed_time[v] < now,
-                    result.informed_time[w] < now, lost);
+                    result.informed_time[w] < now, lost, v, w);
     }
     if (!lost) exchange(options.mode, v, w, now, result.informed_time, informed_count);
   }
@@ -116,7 +116,7 @@ AsyncResult run_per_node_clocks(const Graph& g, NodeId source, rng::Engine& eng,
     const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
     if (options.probe != nullptr) {
       probe_instant(*options.probe, options.mode, result.informed_time[v] < now,
-                    result.informed_time[w] < now, lost);
+                    result.informed_time[w] < now, lost, v, w);
     }
     if (!lost) exchange(options.mode, v, w, now, result.informed_time, informed_count);
   }
@@ -165,7 +165,7 @@ AsyncResult run_per_edge_clocks(const Graph& g, NodeId source, rng::Engine& eng,
     const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
     if (options.probe != nullptr) {
       probe_instant(*options.probe, options.mode, result.informed_time[v] < now,
-                    result.informed_time[w] < now, lost);
+                    result.informed_time[w] < now, lost, v, w);
     }
     if (!lost) exchange(options.mode, v, w, now, result.informed_time, informed_count);
   }
@@ -214,7 +214,7 @@ AsyncResult run_per_edge_clocks_heap(const Graph& g, NodeId source, rng::Engine&
     const bool lost = options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss);
     if (options.probe != nullptr) {
       probe_instant(*options.probe, options.mode, result.informed_time[tick.v] < now,
-                    result.informed_time[tick.w] < now, lost);
+                    result.informed_time[tick.w] < now, lost, tick.v, tick.w);
     }
     if (!lost) exchange(options.mode, tick.v, tick.w, now, result.informed_time, informed_count);
   }

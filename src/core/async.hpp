@@ -25,8 +25,7 @@ namespace rumor::core {
 /// Shared knobs (core/trial.hpp): max_ticks caps *steps* here (0 derives
 /// ~200 n^2 log n steps, i.e. ~200 n log n time units); message_loss thins
 /// contacts exactly like the sync engine; the probe counts every event
-/// (a tick of an isolated node as an empty contact). record_history is
-/// ignored — the async engine always reports per-node inform times.
+/// (a tick of an isolated node as an empty contact).
 /// Dynamics: epochs are `period` time units long and contacts route
 /// through the view. Only the global-clock equivalent supports dynamics
 /// (the per-node/per-edge heaps pre-draw clock ticks against a fixed

@@ -23,7 +23,6 @@ SyncResult run_aux(const Graph& g, NodeId source, rng::Engine& eng, const AuxOpt
       ++informed_count;
     }
   }
-  if (options.record_history) result.informed_count_history.push_back(informed_count);
 
   // k[v] = number of informed neighbors of v, maintained incrementally:
   // when a node becomes informed we bump each neighbor's count (total work
@@ -70,7 +69,6 @@ SyncResult run_aux(const Graph& g, NodeId source, rng::Engine& eng, const AuxOpt
         for (NodeId w : g.neighbors(v)) ++informed_neighbors[w];
       }
     }
-    if (options.record_history) result.informed_count_history.push_back(informed_count);
     result.rounds = r;
   }
 

@@ -30,7 +30,7 @@ namespace rumor::core {
 // header.
 
 /// Shared knobs (core/trial.hpp): max_ticks (rounds; 0 = run_sync's default
-/// cap), record_history, and extra_sources are honored — extra sources let
+/// cap) and extra_sources are honored — extra sources let
 /// tests pose exact one-round scenarios against the Definition 5/7 pull
 /// formulas. mode, message_loss, probe, and dynamics are ignored: the aux
 /// processes fix their own contact structure by definition.

@@ -239,9 +239,9 @@ BatchSyncResult run_batch_sync(const Graph& g, NodeId source, rng::Engine& eng,
     throw std::invalid_argument("batch_sync: lanes must be in 1.." +
                                 std::to_string(kMaxBatchLanes));
   }
-  if (options.record_history || options.probe != nullptr || options.dynamics != nullptr) {
+  if (options.probe != nullptr || options.dynamics != nullptr) {
     throw std::runtime_error(
-        "batch_sync: record_history, probe, and dynamics are unsupported "
+        "batch_sync: probe and dynamics are unsupported "
         "(use the sync engine for per-trial telemetry)");
   }
 

@@ -42,9 +42,9 @@ inline constexpr std::uint32_t kMaxBatchLanes = 64;
 
 /// Shared knobs (core/trial.hpp): mode, max_ticks (rounds; 0 = run_sync's
 /// default cap, applied to every lane), message_loss, and extra_sources
-/// (seeded in every lane) are honored. record_history, probe, and dynamics
-/// are unsupported — run_batch_sync throws if they are set, so schedulers
-/// cannot silently drop telemetry they asked for.
+/// (seeded in every lane) are honored. probe and dynamics are unsupported —
+/// run_batch_sync throws if they are set, so schedulers cannot silently
+/// drop telemetry they asked for.
 struct BatchSyncOptions : TrialOptions {
   /// Trials executed in this batch (1..kMaxBatchLanes).
   std::uint32_t lanes = kMaxBatchLanes;
@@ -67,7 +67,7 @@ struct BatchSyncResult {
 /// Runs `options.lanes` independent synchronous trials from `source` in one
 /// lane-parallel pass. Precondition: source < g.num_nodes(); throws
 /// std::invalid_argument on a lane count outside 1..kMaxBatchLanes and
-/// std::runtime_error when record_history / probe / dynamics are set.
+/// std::runtime_error when probe / dynamics are set.
 ///
 /// Determinism: the batch is a pure function of (graph, source, options,
 /// engine state) — the campaign scheduler exploits this by pinning one

@@ -1,5 +1,6 @@
 #include "core/informing_forest.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace rumor::core {
@@ -20,128 +21,6 @@ std::uint32_t InformingForest::depth() const {
     if (parent[v] != kNoParent) deepest = std::max(deepest, path_length(v));
   }
   return deepest;
-}
-
-SyncForestRun run_sync_with_forest(const Graph& g, NodeId source, rng::Engine& eng,
-                                   const SyncOptions& options) {
-  // Mirrors run_sync exactly (same draw order, same commit discipline) with
-  // informer bookkeeping added; informing ties within a round resolve to
-  // the first committed contact, a valid "first informer" under the
-  // pre-round snapshot semantics.
-  const NodeId n = g.num_nodes();
-  assert(source < n);
-
-  SyncForestRun run;
-  run.result.informed_round.assign(n, kNeverRound);
-  run.result.informed_round[source] = 0;
-  run.forest.parent.assign(n, kNoParent);
-  NodeId informed_count = 1;
-  for (NodeId extra : options.extra_sources) {
-    if (run.result.informed_round[extra] == kNeverRound) {
-      run.result.informed_round[extra] = 0;
-      ++informed_count;
-    }
-  }
-  if (options.record_history) run.result.informed_count_history.push_back(informed_count);
-
-  const std::uint64_t cap =
-      options.max_ticks != 0 ? options.max_ticks : default_round_cap(n);
-
-  struct Pending {
-    NodeId node;
-    NodeId informer;
-  };
-  std::vector<Pending> newly;
-  for (std::uint64_t r = 1; informed_count < n && r <= cap; ++r) {
-    newly.clear();
-    auto informed_before = [&](NodeId v) { return run.result.informed_round[v] < r; };
-    for (NodeId v = 0; v < n; ++v) {
-      if (g.degree(v) == 0) continue;
-      const NodeId w = g.random_neighbor(v, eng);
-      const bool v_in = informed_before(v);
-      const bool w_in = informed_before(w);
-      if (v_in == w_in) continue;
-      if (options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss)) continue;
-      switch (options.mode) {
-        case Mode::kPush:
-          if (v_in && run.result.informed_round[w] == kNeverRound) newly.push_back({w, v});
-          break;
-        case Mode::kPull:
-          if (w_in && run.result.informed_round[v] == kNeverRound) newly.push_back({v, w});
-          break;
-        case Mode::kPushPull:
-          if (v_in) {
-            if (run.result.informed_round[w] == kNeverRound) newly.push_back({w, v});
-          } else {
-            if (run.result.informed_round[v] == kNeverRound) newly.push_back({v, w});
-          }
-          break;
-      }
-    }
-    for (const Pending& p : newly) {
-      if (run.result.informed_round[p.node] == kNeverRound) {
-        run.result.informed_round[p.node] = r;
-        run.forest.parent[p.node] = p.informer;
-        ++informed_count;
-      }
-    }
-    if (options.record_history) run.result.informed_count_history.push_back(informed_count);
-    run.result.rounds = r;
-  }
-
-  run.result.completed = (informed_count == n);
-  if (!run.result.completed) run.result.rounds = cap;
-  run.forest.completed = run.result.completed;
-  return run;
-}
-
-AsyncForestRun run_async_with_forest(const Graph& g, NodeId source, rng::Engine& eng,
-                                     const AsyncOptions& options) {
-  // Global-clock view with informer bookkeeping (mirrors run_async's
-  // kGlobalClock path draw for draw).
-  const NodeId n = g.num_nodes();
-  assert(source < n);
-  const std::uint64_t cap =
-      options.max_ticks != 0 ? options.max_ticks : default_step_cap(n);
-
-  AsyncForestRun run;
-  run.result.informed_time.assign(n, kNeverTime);
-  run.result.informed_time[source] = 0.0;
-  run.forest.parent.assign(n, kNoParent);
-  NodeId informed_count = 1;
-  for (NodeId extra : options.extra_sources) {
-    if (run.result.informed_time[extra] == kNeverTime) {
-      run.result.informed_time[extra] = 0.0;
-      ++informed_count;
-    }
-  }
-
-  double now = 0.0;
-  std::uint64_t steps = 0;
-  const double rate = static_cast<double>(n);
-  while (informed_count < n && steps < cap) {
-    now += rng::exponential(eng, rate);
-    ++steps;
-    const NodeId v = static_cast<NodeId>(rng::uniform_below(eng, n));
-    if (g.degree(v) == 0) continue;
-    const NodeId w = g.random_neighbor(v, eng);
-    if (options.message_loss > 0.0 && rng::bernoulli(eng, options.message_loss)) continue;
-    const bool v_in = run.result.informed_time[v] < now;
-    const bool w_in = run.result.informed_time[w] < now;
-    if (v_in == w_in) continue;
-    if (options.mode == Mode::kPush && !v_in) continue;
-    if (options.mode == Mode::kPull && !w_in) continue;
-    const NodeId target = v_in ? w : v;
-    const NodeId informer = v_in ? v : w;
-    run.result.informed_time[target] = now;
-    run.forest.parent[target] = informer;
-    ++informed_count;
-  }
-  run.result.time = now;
-  run.result.steps = steps;
-  run.result.completed = (informed_count == n);
-  run.forest.completed = run.result.completed;
-  return run;
 }
 
 }  // namespace rumor::core

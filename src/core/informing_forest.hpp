@@ -2,33 +2,37 @@
 //
 // Both of the paper's proofs argue along *informing paths* pi_v = v_0 = u,
 // v_1, ..., v_l = v, where v_{i+1} first receives the rumor from v_i
-// (Lemmas 9/10 decompose r_v over such a path). This module re-runs the
-// synchronous or asynchronous protocol while recording each node's
-// informer, yielding the informing forest (a spanning tree of the informed
-// set, rooted at the source) plus per-node path lengths. Benches and tests
-// use it to study path-length distributions and to validate that the
-// engines' exchanges are structurally consistent (informer is adjacent,
-// informed earlier, and reachable from the source).
+// (Lemmas 9/10 decompose r_v over such a path). The forest is recorded by
+// the engines themselves: the sender of a useful transmission is the
+// target's informer (spread_probe.hpp), so attaching a forest to a probe
+// and the probe to any probe-capable engine (sync and its reference, all
+// three async views, discretized slices, quasirandom) yields the informing
+// forest of that very execution — a spanning forest of the informed set,
+// rooted at the sources — plus per-node path lengths.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/async.hpp"
 #include "core/protocol.hpp"
-#include "core/sync.hpp"
-#include "rng/rng.hpp"
+#include "core/spread_probe.hpp"
 
 namespace rumor::core {
 
-/// Sentinel parent for the source (and never-informed nodes).
+/// Sentinel parent for the sources (and never-informed nodes).
 inline constexpr NodeId kNoParent = static_cast<NodeId>(-1);
 
-/// A spanning tree of "v was first informed by parent[v]".
+/// A spanning forest of "v was first informed by parent[v]".
 struct InformingForest {
   std::vector<NodeId> parent;
-  /// True if the recorded execution informed every node.
-  bool completed = false;
+
+  /// Resets `parent` to n unset entries and points `probe.informer` at it;
+  /// attach the probe to an engine's options to record one execution. The
+  /// pointer is valid until `parent` is reassigned or the forest destroyed.
+  void attach(SpreadProbe& probe, NodeId n) {
+    parent.assign(n, kNoParent);
+    probe.informer = parent.data();
+  }
 
   /// Number of informing hops from the source to v (0 for the source).
   /// Precondition: v was informed.
@@ -38,22 +42,5 @@ struct InformingForest {
   /// informing tree (the `l` in the paper's path decompositions).
   [[nodiscard]] std::uint32_t depth() const;
 };
-
-/// Runs the synchronous protocol recording informers.
-/// The returned SyncResult matches run_sync with the same engine state.
-struct SyncForestRun {
-  SyncResult result;
-  InformingForest forest;
-};
-[[nodiscard]] SyncForestRun run_sync_with_forest(const Graph& g, NodeId source, rng::Engine& eng,
-                                                 const SyncOptions& options = {});
-
-/// Runs the asynchronous protocol (global-clock view) recording informers.
-struct AsyncForestRun {
-  AsyncResult result;
-  InformingForest forest;
-};
-[[nodiscard]] AsyncForestRun run_async_with_forest(const Graph& g, NodeId source, rng::Engine& eng,
-                                                   const AsyncOptions& options = {});
 
 }  // namespace rumor::core

@@ -51,9 +51,6 @@ struct SyncResult {
   /// Round in which each node was informed; source gets 0, never-informed
   /// nodes get kNeverRound.
   std::vector<std::uint64_t> informed_round;
-  /// informed_count_history[r] = |informed| after round r (entry 0 is 1, the
-  /// source). Filled only when SyncOptions::record_history is set.
-  std::vector<NodeId> informed_count_history;
 };
 
 /// Result of one asynchronous execution.

@@ -74,9 +74,6 @@ SyncResult run_quasirandom(const Graph& g, NodeId source, rng::Engine& eng,
 
   result.completed = (informed_count == n);
   if (!result.completed) result.rounds = cap;
-  if (options.record_history) {
-    result.informed_count_history = informed_round_curve(result.informed_round, result.rounds);
-  }
   return result;
 }
 

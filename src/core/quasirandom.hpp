@@ -19,7 +19,7 @@
 namespace rumor::core {
 
 /// Shared knobs (core/trial.hpp): mode, max_ticks (rounds; 0 = run_sync's
-/// default cap), record_history, and probe are honored; message_loss,
+/// default cap), and probe are honored; message_loss,
 /// extra_sources, and dynamics are ignored (the quasirandom model is
 /// studied in its classical lossless single-source static form).
 struct QuasirandomOptions : TrialOptions {};

@@ -20,10 +20,10 @@
 //   useful_push + useful_pull == final informed count - |sources|
 //
 // exactly, per execution, because "useful" is defined as first-to-reach.
+// The sender of a useful transmission is therefore the target's informer:
+// with `informer` set, the probe records it, which yields the informing
+// forest (informing_forest.hpp) from the engine's own loop.
 #pragma once
-
-#include <cmath>
-#include <vector>
 
 #include "core/informed_set.hpp"
 #include "core/protocol.hpp"
@@ -40,6 +40,10 @@ struct SpreadProbe {
   std::uint64_t wasted_push = 0;     ///< push transmissions that changed nothing
   std::uint64_t wasted_pull = 0;     ///< pull transmissions that changed nothing
   std::uint64_t empty_contacts = 0;  ///< contacts carrying no transmission either way
+  /// Optional caller-owned array of one entry per node: each useful
+  /// transmission stores its sender at the target's index. Null records
+  /// nothing; merge() leaves it alone.
+  NodeId* informer = nullptr;
 
   void merge(const SpreadProbe& other) noexcept {
     contacts += other.contacts;
@@ -62,12 +66,19 @@ inline void probe_empty_contact(SpreadProbe& probe) noexcept {
   ++probe.empty_contacts;
 }
 
-/// Classifies one contact of an *instant-commit* engine (the async event
-/// loops): a transmission is useful iff its target is uninformed at the
-/// event time and the message was not lost. Endpoint states are the
+/// Counts a useful transmission from `from` to `to`; records the informer.
+inline void probe_useful(SpreadProbe& probe, std::uint64_t& counter, NodeId from,
+                         NodeId to) noexcept {
+  ++counter;
+  if (probe.informer != nullptr) probe.informer[to] = from;
+}
+
+/// Classifies one contact v -> w of an *instant-commit* engine (the async
+/// event loops): a transmission is useful iff its target is uninformed at
+/// the event time and the message was not lost. Endpoint states are the
 /// pre-event states; call before the engine stamps the target.
-inline void probe_instant(SpreadProbe& probe, Mode mode, bool v_in, bool w_in,
-                          bool lost) noexcept {
+inline void probe_instant(SpreadProbe& probe, Mode mode, bool v_in, bool w_in, bool lost,
+                          NodeId v, NodeId w) noexcept {
   ++probe.contacts;
   const bool push_tx = mode != Mode::kPull && v_in;
   const bool pull_tx = mode != Mode::kPush && w_in;
@@ -77,14 +88,14 @@ inline void probe_instant(SpreadProbe& probe, Mode mode, bool v_in, bool w_in,
   }
   if (push_tx) {
     if (!w_in && !lost) {
-      ++probe.useful_push;
+      probe_useful(probe, probe.useful_push, v, w);
     } else {
       ++probe.wasted_push;
     }
   }
   if (pull_tx) {
     if (!v_in && !lost) {
-      ++probe.useful_pull;
+      probe_useful(probe, probe.useful_pull, w, v);
     } else {
       ++probe.wasted_pull;
     }
@@ -108,64 +119,18 @@ inline void probe_windowed(SpreadProbe& probe, Mode mode, bool v_in, bool w_in, 
   }
   if (push_tx) {
     if (!w_in && !lost && pending.test_and_set(w)) {
-      ++probe.useful_push;
+      probe_useful(probe, probe.useful_push, v, w);
     } else {
       ++probe.wasted_push;
     }
   }
   if (pull_tx) {
     if (!v_in && !lost && pending.test_and_set(v)) {
-      ++probe.useful_pull;
+      probe_useful(probe, probe.useful_pull, w, v);
     } else {
       ++probe.wasted_pull;
     }
   }
-}
-
-/// Derives the per-round informed-count history from first-informed rounds:
-/// curve[r] = |{v : informed_round[v] <= r}| for r = 0..rounds. Bit-identical
-/// to recording |informed| after every round in the loop (all integers), so
-/// SyncOptions::record_history is now a thin alias for this derivation.
-[[nodiscard]] inline std::vector<NodeId> informed_round_curve(
-    const std::vector<std::uint64_t>& informed_round, std::uint64_t rounds) {
-  std::vector<NodeId> curve(static_cast<std::size_t>(rounds) + 1, 0);
-  for (const std::uint64_t r : informed_round) {
-    if (r <= rounds) ++curve[static_cast<std::size_t>(r)];
-  }
-  for (std::size_t i = 1; i < curve.size(); ++i) curve[i] += curve[i - 1];
-  return curve;
-}
-
-/// Derives a bucketed informed-count history from first-informed times:
-/// curve[k] = |{v : informed_time[v] <= k * bucket}|, with just enough
-/// buckets that the last entry covers the latest (finite) inform time.
-/// Nodes never informed (kNeverTime) are not counted by any bucket.
-/// Precondition: bucket > 0.
-[[nodiscard]] inline std::vector<NodeId> informed_time_curve(
-    const std::vector<double>& informed_time, double bucket) {
-  // Minimal k with k * bucket >= t, computed with an explicit fix-up so the
-  // curve matches the comparison-based definition exactly (ceil of the
-  // division alone can land one bucket off after float rounding).
-  auto bucket_of = [bucket](double t) {
-    if (t <= 0.0) return std::uint64_t{0};
-    auto k = static_cast<std::uint64_t>(std::ceil(t / bucket));
-    while (k > 0 && static_cast<double>(k - 1) * bucket >= t) --k;
-    while (static_cast<double>(k) * bucket < t) ++k;
-    return k;
-  };
-  std::uint64_t buckets = 0;
-  for (const double t : informed_time) {
-    if (t == kNeverTime) continue;
-    const std::uint64_t k = bucket_of(t);
-    if (k > buckets) buckets = k;
-  }
-  std::vector<NodeId> curve(static_cast<std::size_t>(buckets) + 1, 0);
-  for (const double t : informed_time) {
-    if (t == kNeverTime) continue;
-    ++curve[static_cast<std::size_t>(bucket_of(t))];
-  }
-  for (std::size_t i = 1; i < curve.size(); ++i) curve[i] += curve[i - 1];
-  return curve;
 }
 
 }  // namespace rumor::core

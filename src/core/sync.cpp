@@ -206,9 +206,6 @@ SyncResult run_sync(const Graph& g, NodeId source, rng::Engine& eng,
 
   result.completed = (informed_count == n);
   if (!result.completed) result.rounds = cap;
-  if (options.record_history) {
-    result.informed_count_history = informed_round_curve(result.informed_round, result.rounds);
-  }
   return result;
 }
 
@@ -283,9 +280,6 @@ SyncResult run_sync_reference(const Graph& g, NodeId source, rng::Engine& eng,
 
   result.completed = (informed_count == n);
   if (!result.completed) result.rounds = cap;
-  if (options.record_history) {
-    result.informed_count_history = informed_round_curve(result.informed_round, result.rounds);
-  }
   return result;
 }
 

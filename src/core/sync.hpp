@@ -17,8 +17,7 @@
 namespace rumor::core {
 
 /// The shared per-trial knobs (core/trial.hpp) are the whole surface: mode,
-/// max_ticks (= rounds here), message_loss, record_history, probe,
-/// extra_sources, dynamics. The sync engine honors every one of them; the
+/// max_ticks (= rounds here), message_loss, probe, extra_sources, dynamics. The sync engine honors every one of them; the
 /// dynamics view additionally begins each round with
 /// dynamics->begin_round(r) so churn applies between rounds.
 struct SyncOptions : TrialOptions {};

@@ -21,7 +21,7 @@ TrialOutcome run_trial(EngineKind kind, const Graph& g, NodeId source, rng::Engi
       out.value = static_cast<double>(result.rounds);
       out.ticks = result.rounds;
       out.completed = result.completed;
-      out.informed_count_history = std::move(result.informed_count_history);
+      out.informed_round = std::move(result.informed_round);
       return out;
     }
     case EngineKind::kAsync: {
@@ -41,7 +41,7 @@ TrialOutcome run_trial(EngineKind kind, const Graph& g, NodeId source, rng::Engi
       out.value = static_cast<double>(result.rounds);
       out.ticks = result.rounds;
       out.completed = result.completed;
-      out.informed_count_history = std::move(result.informed_count_history);
+      out.informed_round = std::move(result.informed_round);
       return out;
     }
     case EngineKind::kQuasirandom: {
@@ -50,7 +50,7 @@ TrialOutcome run_trial(EngineKind kind, const Graph& g, NodeId source, rng::Engi
       out.value = static_cast<double>(result.rounds);
       out.ticks = result.rounds;
       out.completed = result.completed;
-      out.informed_count_history = std::move(result.informed_count_history);
+      out.informed_round = std::move(result.informed_round);
       return out;
     }
     case EngineKind::kBatchSync: {

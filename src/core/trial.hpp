@@ -96,12 +96,9 @@ struct TrialOptions {
   /// ~1/(1 - loss) on both models without changing who-wins shapes
   /// (bench_e11_faults measures this). Honored by sync, async, batch_sync.
   double message_loss = 0.0;
-  /// Record |informed| after every round into informed_count_history
-  /// (round-based engines; the async engine always reports per-node inform
-  /// times instead).
-  bool record_history = false;
   /// Spread telemetry (spread_probe.hpp): when set, every contact is
-  /// counted and its transmissions classified useful/wasted per direction.
+  /// counted and its transmissions classified useful/wasted per direction
+  /// (and, with SpreadProbe::informer set, each informer recorded).
   /// Null costs nothing — a probe never changes randomness consumption or
   /// the result; counters accumulate across runs unless the caller resets
   /// them. Unsupported by aux and batch_sync.
@@ -135,8 +132,8 @@ struct TrialOutcome {
   std::uint64_t ticks = 0;
   /// False when the engine hit its cap before informing every node.
   bool completed = false;
-  /// Round-based engines with record_history: |informed| after round k.
-  std::vector<NodeId> informed_count_history;
+  /// sync, aux, quasirandom: per-node inform rounds (moved out of SyncResult).
+  std::vector<std::uint64_t> informed_round;
   /// Async engine: per-node inform times (moved out of AsyncResult).
   std::vector<double> informed_time;
 };

@@ -17,6 +17,7 @@
 #include <utility>
 
 #include "core/quasirandom.hpp"
+#include "core/trajectory.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_store.hpp"
 #include "obs/telemetry.hpp"
@@ -102,6 +103,57 @@ Graph build_graph(const GraphSpec& spec, std::uint64_t fallback_seed) {
   throw std::runtime_error("build_graph: unknown graph family '" + f + "'");
 }
 
+std::string config_error(const CampaignConfig& cfg) {
+  const bool race = cfg.source_policy == SourcePolicy::kRace;
+  if (!cfg.dynamics.is_static()) {
+    // The engines only support dynamics where the contact sequence is
+    // drawn against the live adjacency.
+    if (cfg.engine != EngineKind::kSync && cfg.engine != EngineKind::kAsync) {
+      return std::string("'dynamics' needs engine 'sync' or 'async' (got '") +
+             engine_name(cfg.engine) + "')";
+    }
+    if (cfg.engine == EngineKind::kAsync && cfg.view != core::AsyncView::kGlobalClock) {
+      return "'dynamics' needs the global-clock async view";
+    }
+    const dynamics::ChurnParams& churn = cfg.dynamics.churn;
+    const bool churn_probs_ok =
+        churn.model != dynamics::ChurnModel::kMarkov ||
+        (churn.birth >= 0.0 && churn.birth <= 1.0 && churn.death >= 0.0 && churn.death <= 1.0);
+    const bool rewire_ok = churn.model != dynamics::ChurnModel::kRewire ||
+                           (churn.rewire >= 0.0 && churn.rewire <= 1.0);
+    if (!churn_probs_ok || !rewire_ok || churn.period == 0 ||
+        cfg.dynamics.weights.alpha <= 0.0) {
+      return "'dynamics' has out-of-range parameters";
+    }
+  }
+  if (cfg.engine == EngineKind::kBatchSync) {
+    // One lane batch shares one stream, so there is no per-source stream
+    // family to race and no per-trial telemetry (curves, below).
+    if (cfg.lanes == 0 || cfg.lanes > core::kMaxBatchLanes) {
+      return "engine 'batch_sync' has lanes " + std::to_string(cfg.lanes) + " outside 1.." +
+             std::to_string(core::kMaxBatchLanes);
+    }
+    if (race) return "engine 'batch_sync' needs a fixed source (not \"race\")";
+  }
+  if (cfg.curves.enabled) {
+    // Curves need a per-trial contact structure to classify and one fixed
+    // trial population per cell.
+    if (cfg.engine == EngineKind::kAux || cfg.engine == EngineKind::kBatchSync) {
+      return std::string("'curves' is not supported for engine '") + engine_name(cfg.engine) +
+             "'";
+    }
+    if (race) return "'curves' needs a fixed source (not \"race\")";
+    if (cfg.curves.points == 0) return "curves: key 'points' must be >= 1";
+    if (cfg.engine == EngineKind::kAsync && !(cfg.curves.time_bucket > 0.0)) {
+      return "curves: key 'time_bucket' must be > 0";
+    }
+  }
+  if (race && (cfg.race.screen_trials == 0 || cfg.race.finalists == 0)) {
+    return "a race needs screen_trials >= 1 and finalists >= 1";
+  }
+  return {};
+}
+
 // --- The shared-queue scheduler ----------------------------------------------
 
 namespace {
@@ -159,14 +211,7 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
     options.dynamics = &*view;
   }
   core::SpreadProbe probe;
-  if (curve_out != nullptr) {
-    if (cfg.engine == EngineKind::kAux || cfg.engine == EngineKind::kBatchSync) {
-      throw std::runtime_error(std::string("campaign: curves are not supported for engine '") +
-                               engine_name(cfg.engine) + "'");
-    }
-    options.record_history = true;  // round grids; the async engine reports times regardless
-    options.probe = &probe;
-  }
+  if (curve_out != nullptr) options.probe = &probe;
   core::TrialExtras extras;
   extras.view = cfg.view;
   extras.aux = cfg.aux;
@@ -183,14 +228,11 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
     }
   }
   if (curve_out != nullptr) {
-    if (cfg.engine == EngineKind::kAsync) {
-      const auto curve =
-          core::informed_time_curve(outcome.informed_time, cfg.curves.time_bucket);
-      curve_out->assign(curve.begin(), curve.end());
-    } else {
-      curve_out->assign(outcome.informed_count_history.begin(),
-                        outcome.informed_count_history.end());
-    }
+    const auto curve =
+        cfg.engine == EngineKind::kAsync
+            ? core::informed_time_curve(outcome.informed_time, cfg.curves.time_bucket)
+            : core::informed_round_curve(outcome.informed_round, outcome.ticks);
+    curve_out->assign(curve.begin(), curve.end());
     fold_probe(*totals, probe, outcome.ticks, g.num_nodes());
   }
   return outcome.value;
@@ -462,74 +504,13 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
     const CampaignConfig& cfg = configs[c];
     results[c] = campaign_result_skeleton(cfg, c);
     CampaignResult& r = results[c];
-    if (!cfg.dynamics.is_static()) {
-      // Validate here (not in run_one, where a worker thread would race to
-      // report it) so API callers get the same guarantees the spec parser
-      // enforces. The engines only support dynamics where the contact
-      // sequence is drawn against the live adjacency.
-      if (cfg.engine != EngineKind::kSync && cfg.engine != EngineKind::kAsync) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has dynamics but engine '" + engine_name(cfg.engine) +
-                                 "' (dynamics needs sync or async)");
-      }
-      if (cfg.engine == EngineKind::kAsync && cfg.view != core::AsyncView::kGlobalClock) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has dynamics but a non-global-clock async view");
-      }
-      const dynamics::ChurnParams& churn = cfg.dynamics.churn;
-      const bool churn_probs_ok =
-          churn.model != dynamics::ChurnModel::kMarkov ||
-          (churn.birth >= 0.0 && churn.birth <= 1.0 && churn.death >= 0.0 && churn.death <= 1.0);
-      const bool rewire_ok = churn.model != dynamics::ChurnModel::kRewire ||
-                             (churn.rewire >= 0.0 && churn.rewire <= 1.0);
-      if (!churn_probs_ok || !rewire_ok || churn.period == 0 ||
-          cfg.dynamics.weights.alpha <= 0.0) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has out-of-range dynamics parameters");
-      }
-    }
-    if (cfg.engine == EngineKind::kBatchSync) {
-      // Same guarantees the spec parser enforces, for API callers handing
-      // in configs directly: the batch engine has no per-trial telemetry or
-      // per-source stream family, so races, curves, and dynamics are out.
-      if (cfg.lanes == 0 || cfg.lanes > core::kMaxBatchLanes) {
-        throw std::runtime_error("campaign: configuration '" + r.id + "' has lanes " +
-                                 std::to_string(cfg.lanes) + " outside 1.." +
-                                 std::to_string(core::kMaxBatchLanes));
-      }
-      if (cfg.source_policy == SourcePolicy::kRace) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' races sources but engine 'batch_sync' batches trials "
-                                 "per stream (use engine 'sync' for races)");
-      }
-    }
-    if (cfg.curves.enabled) {
-      // Same guarantees the spec parser enforces, for API callers handing
-      // in configs directly.
-      if (cfg.engine == EngineKind::kAux || cfg.engine == EngineKind::kBatchSync) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' requests curves but engine '" + engine_name(cfg.engine) +
-                                 "' has no per-trial contact structure");
-      }
-      if (cfg.source_policy == SourcePolicy::kRace) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' requests curves with a raced source (curves need a fixed "
-                                 "source)");
-      }
-      if (cfg.curves.points == 0) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has curves.points == 0");
-      }
-      if (cfg.engine == EngineKind::kAsync && !(cfg.curves.time_bucket > 0.0)) {
-        throw std::runtime_error("campaign: configuration '" + r.id +
-                                 "' has curves.time_bucket <= 0");
-      }
+    // Validate here (not in run_one, where a worker thread would race to
+    // report it) so API callers get the same guarantees the spec parser
+    // enforces.
+    if (const std::string cfg_error = config_error(cfg); !cfg_error.empty()) {
+      throw std::runtime_error("campaign: configuration '" + r.id + "': " + cfg_error);
     }
     if (cfg.source_policy == SourcePolicy::kRace) {
-      if (cfg.race.screen_trials == 0 || cfg.race.finalists == 0) {
-        throw std::runtime_error("campaign: race configuration '" + r.id +
-                                 "' needs screen_trials >= 1 and finalists >= 1");
-      }
       const std::uint64_t final_trials =
           cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
       const std::size_t cand_bound = cfg.race.max_candidates != 0
@@ -1366,6 +1347,15 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
     spec.error = "campaign spec must be a JSON object";
     return spec;
   }
+  // A misspelled top-level key ("defualts") would otherwise silently drop
+  // everything under it.
+  static constexpr const char* kTopLevelKeys[] = {"name", "defaults", "configs"};
+  for (const auto& [key, value] : doc.entries()) {
+    if (!known_key(key, kTopLevelKeys)) {
+      spec.error = "unknown top-level key '" + key + "' (expected name, defaults, configs)";
+      return spec;
+    }
+  }
   std::string error;
   spec.name = string_or(doc, "name", "campaign", error);
 
@@ -1581,42 +1571,11 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
             spec.error = where + ": unknown mode '" + mode_str + "'";
             return spec;
           }
-          if (!cfg.dynamics.is_static()) {
-            // The same guarantees run_campaign enforces, caught at parse
-            // time where the message can cite the spec entry.
-            if (cfg.engine != EngineKind::kSync && cfg.engine != EngineKind::kAsync) {
-              spec.error = where + ": 'dynamics' needs engine 'sync' or 'async' (got '" +
-                           engine_str + "')";
-              return spec;
-            }
-            if (cfg.engine == EngineKind::kAsync && cfg.view != core::AsyncView::kGlobalClock) {
-              spec.error = where + ": 'dynamics' needs the global-clock async view";
-              return spec;
-            }
-          }
-          if (cfg.engine == EngineKind::kBatchSync &&
-              cfg.source_policy == SourcePolicy::kRace) {
-            // Races need run_one's per-source stream family; the batch
-            // engine interleaves 64 trials on one stream. Caught here so
-            // the message can cite the spec entry (run_campaign re-checks
-            // for API callers).
-            spec.error = where + ": engine 'batch_sync' needs a fixed source (not \"race\")";
+          // The same rules run_campaign enforces, caught at parse time
+          // where the message can cite the spec entry.
+          if (const std::string cfg_error = config_error(cfg); !cfg_error.empty()) {
+            spec.error = where + ": " + cfg_error;
             return spec;
-          }
-          if (cfg.curves.enabled) {
-            // Curves need a per-trial contact structure to classify and one
-            // fixed trial population per cell; caught here so the message
-            // can cite the spec entry (run_campaign re-checks for API
-            // callers).
-            if (cfg.engine == EngineKind::kAux || cfg.engine == EngineKind::kBatchSync) {
-              spec.error = where + ": 'curves' is not supported for engine '" +
-                           std::string(engine_name(cfg.engine)) + "'";
-              return spec;
-            }
-            if (cfg.source_policy == SourcePolicy::kRace) {
-              spec.error = where + ": 'curves' needs a fixed source (not \"race\")";
-              return spec;
-            }
           }
           std::string id = explicit_id;
           if (id.empty()) {

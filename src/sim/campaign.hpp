@@ -169,6 +169,15 @@ struct CampaignConfig {
   CurveSpec curves;
 };
 
+/// The cross-field rules a configuration must satisfy: dynamics needs sync
+/// or global-clock async; batch_sync needs 1..64 lanes and a fixed source;
+/// curves need a sync/async/quasirandom engine, a fixed source, points >= 1
+/// and a positive time bucket; dynamics parameters and race sizes must be
+/// in range. Returns "" when valid, else a message without a location:
+/// parse_campaign_spec prefixes "configs[i]" and run_campaign the
+/// configuration id, so both reject exactly the same configurations.
+[[nodiscard]] std::string config_error(const CampaignConfig& cfg);
+
 struct CampaignOptions {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   unsigned threads = 0;

@@ -5,10 +5,13 @@
 //   Lemma 10  T_d(pp-a) = O(T_d(ppy) + log(n/d))
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/aux_process.hpp"
 #include "core/sync.hpp"
+#include "core/trajectory.hpp"
+#include "core/trial.hpp"
 #include "dist/distributions.hpp"
 #include "graph/generators.hpp"
 #include "rng/rng.hpp"
@@ -49,6 +52,31 @@ TEST(AuxEngine, SourceAtRoundZeroAllInformedAtEnd) {
   EXPECT_EQ(r.informed_round[0], 0u);
   for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_NE(r.informed_round[v], core::kNeverRound);
+  }
+}
+
+TEST(AuxEngine, DerivedHistoryIsMonotoneFromSourcesToN) {
+  // The aux processes' informed-count history derives from their stamps like
+  // every round engine's; run_trial hands the same stamps out.
+  const auto g = graph::torus(6);
+  for (const AuxKind kind : {AuxKind::kPpx, AuxKind::kPpy}) {
+    core::AuxOptions opts;
+    opts.kind = kind;
+    opts.extra_sources = {5, 9, 5};  // duplicate on purpose: 3 distinct sources
+    auto eng = rng::derive_stream(4040, 3);
+    auto trial_eng = eng;
+    const auto r = core::run_aux(g, 0, eng, opts);
+    ASSERT_TRUE(r.completed);
+    const auto history = core::informed_round_curve(r.informed_round, r.rounds);
+    ASSERT_EQ(history.size(), r.rounds + 1);
+    EXPECT_EQ(history.front(), 3u);
+    EXPECT_EQ(history.back(), g.num_nodes());
+    EXPECT_TRUE(std::is_sorted(history.begin(), history.end()));
+    EXPECT_GT(history[r.rounds], history[r.rounds - 1]);  // rounds is the completion round
+
+    const auto outcome =
+        core::run_trial(core::EngineKind::kAux, g, 0, trial_eng, opts, {.aux = kind});
+    EXPECT_EQ(outcome.informed_round, r.informed_round);
   }
 }
 

@@ -204,9 +204,6 @@ TEST(BatchSync, RejectsBadLaneCountsAndUnsupportedTelemetry) {
   EXPECT_THROW((void)core::run_batch_sync(g, 0, eng, wide), std::invalid_argument);
 
   // Telemetry the lane loop cannot honor is refused, never dropped.
-  core::BatchSyncOptions history;
-  history.record_history = true;
-  EXPECT_THROW((void)core::run_batch_sync(g, 0, eng, history), std::runtime_error);
   core::SpreadProbe probe;
   core::BatchSyncOptions probed;
   probed.probe = &probe;

@@ -302,6 +302,30 @@ TEST(BenchCli, CampaignHonorsTrialsAndSeedOverrides) {
   std::remove(spec.c_str());
 }
 
+TEST(BenchCli, CampaignRejectsUnknownTopLevelKey) {
+  const std::string spec = write_spec("bench_cli_typo.json", R"({
+    "defualts": {"trials": 4},
+    "configs": [{"graph": "star", "n": 32}]})");
+  int status = 0;
+  const std::string out = run_bench("--campaign " + spec + " --json 2>&1", &status);
+  EXPECT_NE(status, 0) << out;
+  EXPECT_NE(out.find("'defualts'"), std::string::npos) << out;
+  std::remove(spec.c_str());
+}
+
+TEST(BenchCli, CurvesFlagAppliesTheCampaignConfigCheck) {
+  // --curves enables curves on every cell, then rejects the cells the
+  // campaign's cross-field check rules out, before anything runs.
+  const std::string spec = write_spec("bench_cli_curves_aux.json", R"({
+    "configs": [{"id": "ppx", "graph": "star", "n": 32, "engine": "aux", "trials": 4}]})");
+  int status = 0;
+  const std::string out = run_bench("--campaign " + spec + " --curves --json 2>&1", &status);
+  EXPECT_EQ(status, 2) << out;
+  EXPECT_NE(out.find("ppx: 'curves' is not supported for engine 'aux'"), std::string::npos)
+      << out;
+  std::remove(spec.c_str());
+}
+
 TEST(BenchCli, CampaignRaceCellReportsWorstSource) {
   // The CI smoke path: a `source: "race"` cell must run through the real
   // binary, report the race outcome in stats, and mark its params.

@@ -518,6 +518,73 @@ TEST(CampaignSpecParsing, RejectsMalformedSpecs) {
   EXPECT_FALSE(parse(R"({"configs": [{"graph": "star", "n": 1}]})").error.empty());  // n < 2
 }
 
+TEST(CampaignSpecParsing, RejectsUnknownTopLevelKeys) {
+  // A misspelled "defaults" would otherwise run every cell on built-in
+  // defaults (200 trials) and exit cleanly.
+  const auto typo = parse(R"({"defualts": {"trials": 8},
+                              "configs": [{"graph": "star", "n": 64}]})");
+  ASSERT_FALSE(typo.error.empty());
+  EXPECT_NE(typo.error.find("'defualts'"), std::string::npos) << typo.error;
+  EXPECT_TRUE(parse(R"({"name": "ok", "defaults": {"trials": 8},
+                        "configs": [{"graph": "star", "n": 64}]})").error.empty());
+}
+
+TEST(CampaignSpecParsing, ParserAndSchedulerShareOneCrossFieldCheck) {
+  // The spec parser and run_campaign reject the same configurations with
+  // the same rule text, located by spec entry and by config id.
+  const struct {
+    const char* spec;
+    void (*mutate)(sim::CampaignConfig&);
+  } cases[] = {
+      {R"({"configs": [{"graph": "star", "n": 32, "engine": "aux",
+                        "dynamics": {"churn": "markov"}}]})",
+       [](sim::CampaignConfig& c) {
+         c.engine = core::EngineKind::kAux;
+         c.dynamics.churn.model = dynamics::ChurnModel::kMarkov;
+       }},
+      {R"({"configs": [{"graph": "star", "n": 32, "engine": "async", "view": "per-edge",
+                        "dynamics": {"churn": "markov"}}]})",
+       [](sim::CampaignConfig& c) {
+         c.engine = core::EngineKind::kAsync;
+         c.view = core::AsyncView::kPerEdgeClocks;
+         c.dynamics.churn.model = dynamics::ChurnModel::kMarkov;
+       }},
+      {R"({"configs": [{"graph": "star", "n": 32, "engine": "batch_sync", "source": "race"}]})",
+       [](sim::CampaignConfig& c) {
+         c.engine = core::EngineKind::kBatchSync;
+         c.source_policy = sim::SourcePolicy::kRace;
+       }},
+      {R"({"configs": [{"graph": "star", "n": 32, "engine": "aux", "curves": {}}]})",
+       [](sim::CampaignConfig& c) {
+         c.engine = core::EngineKind::kAux;
+         c.curves.enabled = true;
+       }},
+      {R"({"configs": [{"graph": "star", "n": 32, "source": "race", "curves": {}}]})",
+       [](sim::CampaignConfig& c) {
+         c.source_policy = sim::SourcePolicy::kRace;
+         c.curves.enabled = true;
+       }},
+  };
+  for (const auto& c : cases) {
+    const auto parsed = parse(c.spec);
+    sim::CampaignConfig cfg;
+    cfg.id = "cell";
+    cfg.graph.family = "star";
+    cfg.graph.n = 32;
+    cfg.trials = 4;
+    c.mutate(cfg);
+    const std::string rule = sim::config_error(cfg);
+    ASSERT_FALSE(rule.empty()) << c.spec;
+    EXPECT_NE(parsed.error.find("configs[0]: " + rule), std::string::npos) << parsed.error;
+    try {
+      (void)sim::run_campaign({cfg}, {});
+      ADD_FAILURE() << "run_campaign accepted " << c.spec;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'cell': " + rule), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(CampaignSpecParsing, RejectsNegativeAndFractionalCounts) {
   // Negative doubles must never reach an unsigned cast (UB); fractional
   // trial counts are almost certainly user error.

@@ -20,9 +20,20 @@ TEST(EdgeCases, TwoNodeGraphEverywhere) {
   EXPECT_TRUE(core::run_pull_coupling(g, 0, eng).completed);
   EXPECT_TRUE(core::run_push_coupling(g, 0, eng).completed);
   EXPECT_TRUE(core::run_block_coupling(g, 0, eng).completed);
-  EXPECT_TRUE(core::run_sync_with_forest(g, 0, eng).result.completed);
-  EXPECT_TRUE(core::run_async_with_forest(g, 0, eng).result.completed);
   EXPECT_TRUE(core::run_async_discretized(g, 0, eng).completed);
+  // With an informing forest attached: node 0 informs node 1 in any engine.
+  core::InformingForest forest;
+  core::SpreadProbe probe;
+  forest.attach(probe, g.num_nodes());
+  core::SyncOptions sync_opts;
+  sync_opts.probe = &probe;
+  EXPECT_TRUE(core::run_sync(g, 0, eng, sync_opts).completed);
+  EXPECT_EQ(forest.parent, (std::vector<graph::NodeId>{core::kNoParent, 0}));
+  forest.attach(probe, g.num_nodes());
+  core::AsyncOptions async_opts;
+  async_opts.probe = &probe;
+  EXPECT_TRUE(core::run_async(g, 0, eng, async_opts).completed);
+  EXPECT_EQ(forest.parent, (std::vector<graph::NodeId>{core::kNoParent, 0}));
 }
 
 TEST(EdgeCases, SourceIsLastNode) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <queue>
 #include <utility>
@@ -17,7 +18,9 @@
 #include "core/async.hpp"
 #include "core/event_queue.hpp"
 #include "core/informed_set.hpp"
+#include "core/informing_forest.hpp"
 #include "core/sync.hpp"
+#include "core/trajectory.hpp"
 #include "dynamics/alias.hpp"
 #include "dynamics/churn.hpp"
 #include "dynamics/weights.hpp"
@@ -51,7 +54,6 @@ void expect_sync_equal(const core::SyncResult& a, const core::SyncResult& b,
   EXPECT_EQ(a.rounds, b.rounds) << label;
   EXPECT_EQ(a.completed, b.completed) << label;
   EXPECT_EQ(a.informed_round, b.informed_round) << label;
-  EXPECT_EQ(a.informed_count_history, b.informed_count_history) << label;
 }
 
 /// Full bit-for-bit comparison of two async results (double == is exact).
@@ -213,7 +215,6 @@ TEST(FastpathSync, BitIdenticalAcrossFamiliesSeedsAndModes) {
         auto eng_ref = eng_fast;
         core::SyncOptions opts;
         opts.mode = mode;
-        opts.record_history = true;
         const auto fast = core::run_sync(g, 0, eng_fast, opts);
         const auto ref = core::run_sync_reference(g, 0, eng_ref, opts);
         const std::string label =
@@ -238,7 +239,6 @@ TEST(FastpathSync, BitIdenticalWithLossMultiSourceAndCaps) {
       opts.message_loss = loss;
       opts.max_ticks = cap;
       opts.extra_sources = {5, 9, 5};  // duplicate on purpose
-      opts.record_history = true;
       const auto fast = core::run_sync(g, 0, eng_fast, opts);
       const auto ref = core::run_sync_reference(g, 0, eng_ref, opts);
       expect_sync_equal(fast, ref, "loss=" + std::to_string(loss));
@@ -270,7 +270,6 @@ TEST(FastpathSync, BitIdenticalOnChurnedAndWeightedOverlays) {
       dynamics::DynamicGraphView view_ref(g, spec, nullptr, 717, trial);
       core::SyncOptions opts;
       opts.mode = Mode::kPushPull;
-      opts.record_history = true;
       opts.dynamics = &view_fast;
       const auto fast = core::run_sync(g, 0, eng_fast, opts);
       opts.dynamics = &view_ref;
@@ -328,11 +327,16 @@ TEST(FastpathSync, ProbeNeverPerturbsTheRunAndMatchesReferenceCounters) {
       opts.mode = mode;
       const auto plain = core::run_sync(g, 0, eng_plain, opts);
 
+      // Both probes record informers too: the forest rides the same branch.
       core::SpreadProbe fast_probe;
+      core::InformingForest fast_forest;
+      fast_forest.attach(fast_probe, g.num_nodes());
       opts.probe = &fast_probe;
       const auto probed = core::run_sync(g, 0, eng_probed, opts);
 
       core::SpreadProbe ref_probe;
+      core::InformingForest ref_forest;
+      ref_forest.attach(ref_probe, g.num_nodes());
       opts.probe = &ref_probe;
       const auto ref = core::run_sync_reference(g, 0, eng_ref, opts);
 
@@ -340,8 +344,10 @@ TEST(FastpathSync, ProbeNeverPerturbsTheRunAndMatchesReferenceCounters) {
       // Attaching a probe changes neither the result nor the RNG stream.
       expect_sync_equal(probed, plain, label);
       EXPECT_EQ(eng_probed.state(), eng_plain.state()) << label;
-      // The fast path's windowed classification matches the reference's.
+      // The fast path's windowed classification matches the reference's,
+      // down to which contact informed each node.
       expect_probe_equal(fast_probe, ref_probe, label);
+      EXPECT_EQ(fast_forest.parent, ref_forest.parent) << label;
       // Conservation: "useful" is first-to-reach, so useful transmissions
       // count informed non-sources exactly.
       EXPECT_EQ(fast_probe.useful(), static_cast<std::uint64_t>(g.num_nodes()) - 1) << label;
@@ -354,6 +360,41 @@ TEST(FastpathSync, ProbeNeverPerturbsTheRunAndMatchesReferenceCounters) {
       } else {
         EXPECT_EQ(classified, fast_probe.contacts) << label;
       }
+    }
+  }
+}
+
+TEST(FastpathSync, ForestMatchesReferenceUnderLossSourcesAndChurn) {
+  // The informer tie-break (first transmission of the round in scan order)
+  // is the same in both engines on every scan kind: static CSR, regular
+  // stride, and the dynamics view — here with loss and duplicate sources.
+  auto gen = rng::derive_stream(99, 8);
+  dynamics::DynamicsSpec markov;
+  markov.churn = {dynamics::ChurnModel::kMarkov, 0.3, 0.1, 0.0, 2};
+  markov.seed = 14;
+  for (const auto& g : {graph::erdos_renyi(150, 0.05, gen), graph::hypercube(7)}) {
+    for (const bool churned : {false, true}) {
+      std::vector<graph::NodeId> parents[2];
+      std::array<std::uint64_t, 4> states[2];
+      for (const bool reference : {false, true}) {
+        auto eng = rng::derive_stream(919, churned ? 1 : 0);
+        dynamics::DynamicGraphView view(g, markov, nullptr, 919, 0);
+        core::SpreadProbe probe;
+        core::InformingForest forest;
+        forest.attach(probe, g.num_nodes());
+        core::SyncOptions opts;
+        opts.message_loss = 0.2;
+        opts.extra_sources = {5, 9, 5};
+        opts.probe = &probe;
+        if (churned) opts.dynamics = &view;
+        (void)(reference ? core::run_sync_reference(g, 0, eng, opts)
+                         : core::run_sync(g, 0, eng, opts));
+        parents[reference ? 1 : 0] = forest.parent;
+        states[reference ? 1 : 0] = eng.state();
+      }
+      const std::string label = g.name() + (churned ? "/churn" : "");
+      EXPECT_EQ(parents[0], parents[1]) << label;
+      EXPECT_EQ(states[0], states[1]) << label;
     }
   }
 }
@@ -373,13 +414,23 @@ TEST(FastpathAsync, ProbeNeverPerturbsTheRunAndConservationHoldsPerView) {
       const auto plain = core::run_async(g, 0, eng_plain, opts);
 
       core::SpreadProbe probe;
+      core::InformingForest forest;
+      forest.attach(probe, g.num_nodes());
       opts.probe = &probe;
+      auto eng_ref = eng_probed;
       const auto probed = core::run_async(g, 0, eng_probed, opts);
 
       const std::string label = "view" + std::to_string(static_cast<int>(view)) +
                                 "/loss" + std::to_string(loss);
       expect_async_equal(probed, plain, label);
       EXPECT_EQ(eng_probed.state(), eng_plain.state()) << label;
+      // The heap-based reference records the identical forest.
+      core::SpreadProbe ref_probe;
+      core::InformingForest ref_forest;
+      ref_forest.attach(ref_probe, g.num_nodes());
+      opts.probe = &ref_probe;
+      (void)core::run_async_reference(g, 0, eng_ref, opts);
+      EXPECT_EQ(forest.parent, ref_forest.parent) << label;
       EXPECT_EQ(probe.contacts, probed.steps) << label;
       ASSERT_TRUE(probed.completed) << label;
       EXPECT_EQ(probe.useful(), static_cast<std::uint64_t>(g.num_nodes()) - 1) << label;
@@ -387,43 +438,39 @@ TEST(FastpathAsync, ProbeNeverPerturbsTheRunAndConservationHoldsPerView) {
   }
 }
 
-TEST(FastpathSync, RecordHistoryIsTheDerivedCurveBitExactly) {
+TEST(FastpathSync, DerivedRoundCurveCountsSourcesThroughInformed) {
   // Hand-pinned case: on K2 the source informs the other node in round 1
-  // regardless of mode or randomness — the history is exactly {1, 2}.
+  // regardless of mode or randomness — the curve is exactly {1, 2}.
   {
     const auto g = graph::complete(2);
     auto eng = rng::derive_stream(5, 5);
-    core::SyncOptions opts;
-    opts.record_history = true;
-    const auto r = core::run_sync(g, 0, eng, opts);
+    const auto r = core::run_sync(g, 0, eng);
     EXPECT_EQ(r.rounds, 1u);
-    EXPECT_EQ(r.informed_count_history, (std::vector<graph::NodeId>{1, 2}));
+    EXPECT_EQ(core::informed_round_curve(r.informed_round, r.rounds),
+              (std::vector<graph::NodeId>{1, 2}));
   }
   // General pinning, including loss, duplicate multi-source, and a round
-  // cap that stops mid-spread: the recorded history must equal the curve
-  // derived from first-informed rounds (integer-exact), start at the
-  // distinct source count, be monotone, and end at the informed count.
+  // cap that stops mid-spread: the curve derived from first-informed rounds
+  // has one entry per round plus round 0, starts at the distinct source
+  // count, is monotone, and ends at the informed count.
   auto gen = rng::derive_stream(42, 3);
   const auto g = graph::erdos_renyi(120, 0.05, gen);
   for (const std::uint64_t cap : {std::uint64_t{0}, std::uint64_t{4}}) {
     auto eng = rng::derive_stream(820, cap);
     core::SyncOptions opts;
-    opts.record_history = true;
     opts.message_loss = 0.2;
     opts.extra_sources = {5, 9, 5};  // duplicate on purpose: 3 distinct sources
     opts.max_ticks = cap;
     const auto r = core::run_sync(g, 0, eng, opts);
     const std::string label = "cap" + std::to_string(cap);
-    EXPECT_EQ(r.informed_count_history, core::informed_round_curve(r.informed_round, r.rounds))
-        << label;
-    ASSERT_EQ(r.informed_count_history.size(), static_cast<std::size_t>(r.rounds) + 1) << label;
-    EXPECT_EQ(r.informed_count_history.front(), 3u) << label;
-    EXPECT_TRUE(std::is_sorted(r.informed_count_history.begin(),
-                               r.informed_count_history.end())) << label;
+    const auto curve = core::informed_round_curve(r.informed_round, r.rounds);
+    ASSERT_EQ(curve.size(), static_cast<std::size_t>(r.rounds) + 1) << label;
+    EXPECT_EQ(curve.front(), 3u) << label;
+    EXPECT_TRUE(std::is_sorted(curve.begin(), curve.end())) << label;
     const auto informed = static_cast<graph::NodeId>(
         std::count_if(r.informed_round.begin(), r.informed_round.end(),
                       [](std::uint64_t round) { return round != core::kNeverRound; }));
-    EXPECT_EQ(r.informed_count_history.back(), informed) << label;
+    EXPECT_EQ(curve.back(), informed) << label;
     if (cap != 0) {
       EXPECT_FALSE(r.completed) << label;
     }

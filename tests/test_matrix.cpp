@@ -65,7 +65,6 @@ TEST_P(SyncMatrix, ExecutionInvariants) {
     auto eng = rng::derive_stream(0x517ecULL + family, trial);
     core::SyncOptions opts;
     opts.mode = mode;
-    opts.record_history = true;
     const auto r = core::run_sync(g, 0, eng, opts);
     ASSERT_TRUE(r.completed) << g.name();
 
@@ -85,19 +84,19 @@ TEST_P(SyncMatrix, ExecutionInvariants) {
     }
 
     // History: monotone, starts at 1, ends at n, grows by <= n per round.
-    ASSERT_EQ(r.informed_count_history.size(), r.rounds + 1);
-    EXPECT_EQ(r.informed_count_history.front(), 1u);
-    EXPECT_EQ(r.informed_count_history.back(), g.num_nodes());
-    for (std::size_t i = 1; i < r.informed_count_history.size(); ++i) {
-      EXPECT_GE(r.informed_count_history[i], r.informed_count_history[i - 1]);
+    const auto history = core::informed_round_curve(r.informed_round, r.rounds);
+    ASSERT_EQ(history.size(), r.rounds + 1);
+    EXPECT_EQ(history.front(), 1u);
+    EXPECT_EQ(history.back(), g.num_nodes());
+    for (std::size_t i = 1; i < history.size(); ++i) {
+      EXPECT_GE(history[i], history[i - 1]);
       // Push-pull at most doubles+pulls; crude sanity: growth bounded by n.
-      EXPECT_LE(r.informed_count_history[i], g.num_nodes());
+      EXPECT_LE(history[i], g.num_nodes());
     }
 
     // Every round before completion informs at least zero nodes, and the
     // last round informs at least one (rounds is the completion round).
-    EXPECT_GT(r.informed_count_history[r.rounds],
-              r.informed_count_history[r.rounds - 1]);
+    EXPECT_GT(history[r.rounds], history[r.rounds - 1]);
   }
 }
 

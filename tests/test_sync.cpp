@@ -4,9 +4,11 @@
 // spreading laws on canonical graphs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/sync.hpp"
+#include "core/trajectory.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "rng/rng.hpp"
@@ -81,16 +83,13 @@ TEST(SyncEngine, EccentricityIsALowerBound) {
 TEST(SyncEngine, HistoryIsMonotoneAndStartsAtOne) {
   const auto g = graph::hypercube(7);
   auto eng = rng::derive_stream(2024, 20);
-  core::SyncOptions opts;
-  opts.record_history = true;
-  const auto r = core::run_sync(g, 0, eng, opts);
+  const auto r = core::run_sync(g, 0, eng);
   ASSERT_TRUE(r.completed);
-  ASSERT_FALSE(r.informed_count_history.empty());
-  EXPECT_EQ(r.informed_count_history.front(), 1u);
-  EXPECT_EQ(r.informed_count_history.back(), g.num_nodes());
-  for (std::size_t i = 1; i < r.informed_count_history.size(); ++i) {
-    EXPECT_GE(r.informed_count_history[i], r.informed_count_history[i - 1]);
-  }
+  const auto history = core::informed_round_curve(r.informed_round, r.rounds);
+  ASSERT_EQ(history.size(), r.rounds + 1);
+  EXPECT_EQ(history.front(), 1u);
+  EXPECT_EQ(history.back(), g.num_nodes());
+  EXPECT_TRUE(std::is_sorted(history.begin(), history.end()));
 }
 
 TEST(SyncEngine, DeterministicGivenSeed) {
