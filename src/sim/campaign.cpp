@@ -11,7 +11,6 @@
 #include <mutex>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -155,6 +154,14 @@ std::string config_error(const CampaignConfig& cfg) {
 }
 
 // --- The shared-queue scheduler ----------------------------------------------
+//
+// Every configuration runs as passes (the pass model of sim/checkpoint.hpp):
+// one kTrials pass for a fixed source; for a race, a kPlan block, a kScreen
+// pass over the candidates and a kRefine pass over the leaders. Each block
+// runs one (entrant, slot) cell of its pass; the worker that counts the
+// pass down to zero folds it in slot order, then hands off or publishes. A
+// fresh start, a resume and a race hand-off all open their pass through one
+// function, which enqueues exactly the cells still missing.
 
 namespace {
 
@@ -199,8 +206,7 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
                const dynamics::NeighborAliasTable* shared_weighted,
                const std::vector<graph::Edge>* shared_edges, graph::NodeId source,
                std::uint64_t stream_seed, std::uint64_t trial, obs::WorkerMetrics* metrics,
-               std::vector<double>* curve_out = nullptr,
-               stats::ContactTotals* totals = nullptr) {
+               std::vector<double>* curve_out, stats::ContactTotals* totals) {
   rng::Engine eng = rng::derive_stream(stream_seed, trial);
   std::optional<dynamics::DynamicGraphView> view;
   core::TrialOptions options;
@@ -244,42 +250,33 @@ double run_one(const CampaignConfig& cfg, const Graph& g,
 /// trial on derive_stream(seed + 1 + kSourceStride * u, t).
 constexpr std::uint64_t kSourceStride = 0x9e3779b9ULL;
 
-/// What a scheduled block does. Fixed-source configurations only ever see
-/// kTrials blocks. A race configuration starts as a single kPlan block
-/// (build the graph, pick candidates, enqueue the screen pass); the last
-/// kScreen block enqueues the refine pass; the last kRefine block picks the
-/// worst source and publishes the result.
-enum class BlockKind : std::uint8_t { kTrials, kPlan, kScreen, kRefine };
+/// What a scheduled block does: run one cell of its configuration's
+/// current pass (kTrials, kScreen, kRefine — numbered like PassKind), or
+/// plan a race (build the graph, pick candidates, open the screen pass).
+enum class BlockKind : std::uint8_t { kTrials, kScreen, kRefine, kPlan };
 
-/// Trace span names per block kind (string literals: TraceSpan stores the
-/// pointer) and the short phase labels the progress heartbeat shows.
-constexpr const char* block_span_name(BlockKind k) noexcept {
-  switch (k) {
-    case BlockKind::kTrials: return "block:trials";
-    case BlockKind::kPlan: return "block:plan";
-    case BlockKind::kScreen: return "block:screen";
-    case BlockKind::kRefine: return "block:refine";
-  }
-  return "block";
-}
+/// Trace span names (string literals: TraceSpan stores the pointer) and
+/// the short phase labels the progress heartbeat shows, by BlockKind.
+constexpr const char* kBlockSpanName[] = {"block:trials", "block:screen", "block:refine",
+                                          "block:plan"};
+constexpr const char* kBlockPhaseName[] = {"trials", "screen", "refine", "plan"};
 
-constexpr const char* block_phase_name(BlockKind k) noexcept {
-  switch (k) {
-    case BlockKind::kTrials: return "trials";
-    case BlockKind::kPlan: return "plan";
-    case BlockKind::kScreen: return "screen";
-    case BlockKind::kRefine: return "refine";
-  }
-  return "?";
+/// A single worker runs every trials and plan block first, then screen
+/// cells, then refine cells: each pass joins the queue behind every block
+/// that existed when its predecessor finished. Resumed blocks enqueue in
+/// that order too, so a resumed run picks up exactly where an unbroken one
+/// would be.
+constexpr int queue_rank(BlockKind k) noexcept {
+  return k == BlockKind::kPlan ? 0 : static_cast<int>(k);
 }
 
 struct Block {
   std::size_t config = 0;   // index into `configs`
   BlockKind kind = BlockKind::kTrials;
-  std::uint32_t entrant = 0;  // candidate (kScreen) / finalist (kRefine) index
+  std::uint32_t entrant = 0;  // index into the pass's entrants
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
-  std::size_t slot = 0;     // block ordinal within its (config, phase, entrant)
+  std::size_t slot = 0;     // block ordinal within its (config, pass, entrant)
 };
 
 /// Degree-stratified candidate list: sort nodes by degree and take every
@@ -305,10 +302,29 @@ std::vector<graph::NodeId> candidate_sources(const Graph& g, std::uint32_t max_c
   return picked;
 }
 
-/// Mutable per-configuration scheduling state. Partials are indexed by
-/// block slot and merged in slot order by whichever worker finishes the
-/// last block of a pass — a fixed-order reduction tree, so the final
-/// summary does not depend on completion order or thread count.
+/// A configuration's current pass. Partials land in their cell, and the
+/// worker that counts `left` down to zero folds them in slot order — a
+/// fixed-order reduction tree, so the result does not depend on completion
+/// order or thread count.
+struct Pass {
+  PassKind kind = PassKind::kTrials;
+  std::vector<graph::NodeId> entrants;  // {cfg.source}, candidates, or finalists
+  std::uint64_t trials = 0;             // per entrant
+  std::uint64_t block = 1;              // trials per slot
+  std::size_t slots = 0;                // per entrant
+  std::vector<PassPartial> grid;        // [entrant * slots + slot]
+  bool whole = true;                    // this run owns every cell (else merge folds)
+  std::atomic<std::uint64_t> left{0};   // owned blocks not yet finished
+
+  PassPartial& cell(std::uint32_t entrant, std::size_t slot) {
+    return grid[entrant * slots + slot];
+  }
+  std::span<PassPartial> row(std::uint32_t entrant) {
+    return {grid.data() + static_cast<std::size_t>(entrant) * slots, slots};
+  }
+};
+
+/// Mutable per-configuration scheduling state.
 struct ConfigState {
   std::once_flag build_once;
   std::shared_ptr<const Graph> graph;
@@ -320,21 +336,7 @@ struct ConfigState {
   /// Churn configs: the base edge list, extracted once per configuration
   /// and shared read-only by every trial's overlay view.
   std::shared_ptr<const std::vector<graph::Edge>> edges;
-  // Fixed-source pass (also the refine pass reuses refine_* below).
-  std::vector<stats::StreamingSummary> partials;
-  /// Spread telemetry (cfg.curves.enabled only): per-slot curve and
-  /// contact partials, parallel to `partials` and folded in the same slot
-  /// order by the same last-block worker.
-  std::vector<stats::CurveAccumulator> curve_partials;
-  std::vector<stats::ContactTotals> contact_partials;
-  std::atomic<std::uint64_t> blocks_left{0};
-  // Race state, populated by the kPlan block.
-  std::vector<graph::NodeId> candidates;
-  std::vector<std::vector<stats::RunningMoments>> screen_partials;  // [candidate][slot]
-  std::atomic<std::uint64_t> screen_left{0};
-  std::vector<graph::NodeId> finalists;
-  std::vector<std::vector<stats::StreamingSummary>> refine_partials;  // [finalist][slot]
-  std::atomic<std::uint64_t> refine_left{0};
+  Pass pass;
 };
 
 /// The shared work queue. Unlike a fixed block list with an atomic cursor,
@@ -400,28 +402,47 @@ class BlockQueue {
   obs::Telemetry* tel_;  // borrowed; hooks called under mutex_
 };
 
-/// Splits `trials` into block_size'd slots appended as (kind, entrant)
-/// blocks for `config`.
-void plan_blocks(std::vector<Block>& out, std::size_t config, BlockKind kind,
-                 std::uint32_t entrant, std::uint64_t trials, std::uint64_t block_size) {
-  std::size_t slot = 0;
-  for (std::uint64_t begin = 0; begin < trials; begin += block_size) {
-    out.push_back(Block{config, kind, entrant, begin, std::min(begin + block_size, trials), slot++});
-  }
-}
-
-/// One specific slot's block (resume re-enqueues only the missing slots).
-Block block_for_slot(std::size_t config, BlockKind kind, std::uint32_t entrant,
-                     std::uint64_t trials, std::uint64_t block_size, std::size_t slot) {
-  const std::uint64_t begin = static_cast<std::uint64_t>(slot) * block_size;
-  return Block{config, kind, entrant, begin, std::min(begin + block_size, trials), slot};
-}
-
-std::size_t slot_count(std::uint64_t trials, std::uint64_t block_size) {
-  return static_cast<std::size_t>((trials + block_size - 1) / block_size);
+/// Trials per slot. Batch configs pin the slot grid to the lane width (a
+/// trial block IS one lane batch), so slot boundaries stay a pure function
+/// of the config — never of --block-size — and checkpoints stay
+/// addressable.
+std::uint64_t pass_block_size(const CampaignConfig& cfg, PassKind kind,
+                              std::uint64_t block_size) noexcept {
+  return kind == PassKind::kTrials ? effective_block_size(cfg, block_size)
+                                   : std::max<std::uint64_t>(block_size, 1);
 }
 
 }  // namespace
+
+std::uint64_t pass_trials(const CampaignConfig& cfg, PassKind kind) noexcept {
+  switch (kind) {
+    case PassKind::kTrials: return cfg.trials;
+    case PassKind::kScreen: return cfg.race.screen_trials;
+    case PassKind::kRefine: return cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
+  }
+  return cfg.trials;
+}
+
+std::size_t pass_slots(const CampaignConfig& cfg, PassKind kind,
+                       std::uint64_t block_size) noexcept {
+  const std::uint64_t block = pass_block_size(cfg, kind, block_size);
+  return static_cast<std::size_t>((pass_trials(cfg, kind) + block - 1) / block);
+}
+
+void PassPartial::merge(const PassPartial& other) {
+  moments.merge(other.moments);
+  if (summary) summary->merge(*other.summary);
+  if (curves) {
+    curves->merge(*other.curves);
+    contacts.merge(other.contacts);
+  }
+}
+
+PassPartial fold_slots(std::span<PassPartial> slots) {
+  PassPartial total = std::move(slots.front());
+  for (std::size_t s = 1; s < slots.size(); ++s) total.merge(slots[s]);
+  return total;
+}
 
 CampaignResult campaign_result_skeleton(const CampaignConfig& cfg, std::size_t index) {
   CampaignResult r;
@@ -436,12 +457,9 @@ CampaignResult campaign_result_skeleton(const CampaignConfig& cfg, std::size_t i
   r.source = cfg.source;
   r.source_policy = cfg.source_policy;
   r.dynamics = resolved_dynamics(cfg);
-  const std::uint64_t measured_trials =
-      cfg.source_policy == SourcePolicy::kRace && cfg.race.final_trials != 0
-          ? cfg.race.final_trials
-          : cfg.trials;
-  r.trials = measured_trials;
-  r.hp_q = cfg.hp_q > 0.0 ? cfg.hp_q : 1.0 / static_cast<double>(measured_trials);
+  r.trials = pass_trials(
+      cfg, cfg.source_policy == SourcePolicy::kRace ? PassKind::kRefine : PassKind::kTrials);
+  r.hp_q = cfg.hp_q > 0.0 ? cfg.hp_q : 1.0 / static_cast<double>(r.trials);
   r.has_curves = cfg.curves.enabled;
   r.curves_spec = cfg.curves;
   return r;
@@ -449,260 +467,110 @@ CampaignResult campaign_result_skeleton(const CampaignConfig& cfg, std::size_t i
 
 namespace {
 
-/// The scheduler core behind run_campaign and run_campaign_resumable.
-/// `recording` switches on the snapshot layer (checkpoints, shards,
-/// resume); without it the scheduler is the original zero-overhead path.
-CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
-                                  const CampaignOptions& options,
-                                  const std::string& campaign_name, const Json* resume,
-                                  bool recording) {
-  const std::uint64_t block_size = std::max<std::uint64_t>(options.block_size, 1);
-  const std::uint32_t shard_count = std::max<std::uint32_t>(options.shard_count, 1);
-  if (options.shard_index < 1 || options.shard_index > shard_count) {
-    throw std::runtime_error("campaign: shard index " + std::to_string(options.shard_index) +
-                             " out of range 1.." + std::to_string(shard_count));
-  }
-  const std::uint32_t shard = options.shard_index - 1;  // 0-based internally
+/// One scheduler run: the configurations' pass state and results, the
+/// shared queue, and a handler per block kind. The worker loop in
+/// run_campaign_impl only pops blocks and hands them to run().
+struct CampaignRun {
+  CampaignRun(const std::vector<CampaignConfig>& configs_in, const CampaignOptions& options_in,
+              std::uint32_t shard_in, CampaignRecorder* recorder_in)
+      : configs(configs_in),
+        options(options_in),
+        block_size(std::max<std::uint64_t>(options_in.block_size, 1)),
+        shard_count(std::max<std::uint32_t>(options_in.shard_count, 1)),
+        shard(shard_in),
+        recorder(recorder_in),
+        queue(options_in.telemetry),
+        states(configs_in.size()),
+        results(configs_in.size()) {}
 
-  std::unique_ptr<CampaignRecorder> recorder;
-  if (recording) {
-    // Snapshots address configurations by id, so recorded campaigns need
-    // unique ids (the spec parser already rejects collisions; this guards
-    // API callers handing in configs directly).
-    std::map<std::string, std::size_t> seen;
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const auto [it, inserted] = seen.emplace(resolved_config_id(configs[c], c), c);
-      if (!inserted) {
-        throw std::runtime_error("campaign: configurations " + std::to_string(it->second) +
-                                 " and " + std::to_string(c) + " share the id '" + it->first +
-                                 "' (checkpoints and shards address configs by id)");
-      }
+  /// Configuration c's blocks at start-up, from its restored progress (a
+  /// fresh run restores nothing). Sharded runs skip races other shards own.
+  std::vector<Block> start(std::size_t c, CampaignRecorder::Restored& rest) {
+    if (rest.result) {
+      results[c] = std::move(*rest.result);
+      return {};
     }
-    recorder = std::make_unique<CampaignRecorder>(configs, options, campaign_name);
-  }
-  std::vector<CampaignRecorder::Restored> restored(configs.size());
-  if (resume != nullptr) restored = recorder->load(*resume);
-
-  auto summary_opts = [&](const CampaignConfig& cfg) {
-    return summary_options_for(cfg, options.sketch_capacity, options.reservoir_capacity);
-  };
-  auto curve_opts = [&](const CampaignConfig& cfg) {
-    return curve_options_for(cfg, options.sketch_capacity);
-  };
-
-  std::vector<Block> initial;
-  std::vector<ConfigState> states(configs.size());
-  std::vector<CampaignResult> results(configs.size());
-  // finalize_here[c]: this run folds the configuration's partials into its
-  // final result (it owns every block). A sharded run leaves foreign or
-  // split configurations to merge_campaign_snapshots.
-  std::vector<char> finalize_here(configs.size(), 1);
-  // For the worker-count heuristic only: a generous upper bound on how many
-  // blocks the campaign can ever schedule (race passes expand lazily).
-  std::size_t block_estimate = 0;
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    const CampaignConfig& cfg = configs[c];
-    results[c] = campaign_result_skeleton(cfg, c);
-    CampaignResult& r = results[c];
-    // Validate here (not in run_one, where a worker thread would race to
-    // report it) so API callers get the same guarantees the spec parser
-    // enforces.
-    if (const std::string cfg_error = config_error(cfg); !cfg_error.empty()) {
-      throw std::runtime_error("campaign: configuration '" + r.id + "': " + cfg_error);
+    if (configs[c].source_policy != SourcePolicy::kRace) {
+      return open_pass(c, PassKind::kTrials, {configs[c].source}, std::move(rest.cells));
     }
-    if (cfg.source_policy == SourcePolicy::kRace) {
-      const std::uint64_t final_trials =
-          cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
-      const std::size_t cand_bound = cfg.race.max_candidates != 0
-                                         ? cfg.race.max_candidates
-                                         : (cfg.prebuilt != nullptr ? cfg.prebuilt->num_nodes()
-                                                                    : cfg.graph.n);
-      block_estimate += 1 + cand_bound * (cfg.race.screen_trials / block_size + 1) +
-                        cfg.race.finalists * (final_trials / block_size + 1);
-      // Races are owned wholesale by one shard, so the screen/refine
-      // successors of the plan block always stay with their owner.
-      finalize_here[c] =
-          shard_of_block(r.id, 0, /*whole_config=*/true, shard_count) == shard ? 1 : 0;
-      if (finalize_here[c] == 0) continue;
-      ConfigState& st = states[c];
-      CampaignRecorder::Restored& rest = restored[c];
-      using Phase = CampaignRecorder::Restored::Phase;
-      switch (rest.phase) {
-        case Phase::kPending:
-        case Phase::kTrials:  // load() never reports kTrials for a race
-          initial.push_back(Block{c, BlockKind::kPlan, 0, 0, 0, 0});
-          break;
-        case Phase::kScreen: {
-          st.candidates = std::move(rest.candidates);
-          const auto count = static_cast<std::uint32_t>(st.candidates.size());
-          const std::size_t slots = slot_count(cfg.race.screen_trials, block_size);
-          st.screen_partials.assign(count, {});
-          for (auto& per : st.screen_partials) per.resize(slots);
-          std::set<std::pair<std::uint32_t, std::size_t>> have;
-          for (const auto& [entrant, slot, state] : rest.screen_slots) {
-            st.screen_partials[entrant][slot].restore(state);
-            have.emplace(entrant, slot);
-          }
-          std::vector<Block> missing;
-          for (std::uint32_t i = 0; i < count; ++i) {
-            for (std::size_t s = 0; s < slots; ++s) {
-              if (have.count({i, s}) == 0) {
-                missing.push_back(block_for_slot(c, BlockKind::kScreen, i,
-                                                 cfg.race.screen_trials, block_size, s));
-              }
-            }
-          }
-          if (missing.empty()) {
-            // Snapshot fell between the pass's last block and its hand-off:
-            // re-run one restored block to re-trigger the fold (recording is
-            // idempotent and re-running a block is bit-neutral).
-            const auto [i, s] = *have.rbegin();
-            missing.push_back(
-                block_for_slot(c, BlockKind::kScreen, i, cfg.race.screen_trials, block_size, s));
-          }
-          st.screen_left.store(missing.size(), std::memory_order_relaxed);
-          initial.insert(initial.end(), missing.begin(), missing.end());
-          break;
+    // Races are owned wholesale by one shard, so the screen/refine
+    // successors of the plan block always stay with their owner.
+    if (shard_of_block(results[c].id, 0, /*whole_config=*/true, shard_count) != shard) return {};
+    if (!rest.pass) return {Block{c, BlockKind::kPlan, 0, 0, 0, 0}};
+    return open_pass(c, *rest.pass, std::move(rest.entrants), std::move(rest.cells));
+  }
+
+  /// Opens configuration c's `kind` pass over `entrants`, adopts the
+  /// restored cells, and returns a block for every owned cell still
+  /// missing. When a snapshot holds every cell of a pass this run owns
+  /// whole but predates its fold (a periodic write can land between a
+  /// pass's last record and its fold), the last cell re-runs to fire the
+  /// fold: recording is idempotent and re-running a block is bit-neutral.
+  std::vector<Block> open_pass(std::size_t c, PassKind kind, std::vector<graph::NodeId> entrants,
+                               std::map<PassCell, PassPartial> restored) {
+    Pass& p = states[c].pass;
+    p.kind = kind;
+    p.entrants = std::move(entrants);
+    p.trials = pass_trials(configs[c], kind);
+    p.block = pass_block_size(configs[c], kind, block_size);
+    p.slots = pass_slots(configs[c], kind, block_size);
+    p.grid = std::vector<PassPartial>(p.entrants.size() * p.slots);
+    for (auto& [cell, partial] : restored) p.cell(cell.first, cell.second) = std::move(partial);
+    std::vector<Block> missing;
+    std::size_t owned = 0;
+    for (std::uint32_t e = 0; e < p.entrants.size(); ++e) {
+      for (std::size_t s = 0; s < p.slots; ++s) {
+        // Trial slots scatter across shards; race passes stay with their plan.
+        if (kind == PassKind::kTrials &&
+            shard_of_block(results[c].id, s, /*whole_config=*/false, shard_count) != shard) {
+          continue;
         }
-        case Phase::kRefine: {
-          st.finalists = std::move(rest.finalists);
-          const auto count = static_cast<std::uint32_t>(st.finalists.size());
-          const std::size_t slots = slot_count(final_trials, block_size);
-          st.refine_partials.assign(count, {});
-          for (auto& per : st.refine_partials) per.resize(slots);
-          std::set<std::pair<std::uint32_t, std::size_t>> have;
-          for (const auto& [entrant, slot, state] : rest.refine_slots) {
-            st.refine_partials[entrant][slot] =
-                stats::StreamingSummary::restored(summary_opts(cfg), state);
-            have.emplace(entrant, slot);
-          }
-          std::vector<Block> missing;
-          for (std::uint32_t i = 0; i < count; ++i) {
-            for (std::size_t s = 0; s < slots; ++s) {
-              if (have.count({i, s}) == 0) {
-                missing.push_back(
-                    block_for_slot(c, BlockKind::kRefine, i, final_trials, block_size, s));
-              }
-            }
-          }
-          if (missing.empty()) {
-            const auto [i, s] = *have.rbegin();
-            missing.push_back(block_for_slot(c, BlockKind::kRefine, i, final_trials, block_size, s));
-          }
-          st.refine_left.store(missing.size(), std::memory_order_relaxed);
-          initial.insert(initial.end(), missing.begin(), missing.end());
-          break;
-        }
-        case Phase::kDone:
-          r.graph_name = rest.graph_name;
-          r.n = rest.n;
-          r.source = rest.source;
-          r.best_source = rest.best_source;
-          r.best_mean = rest.best_mean;
-          r.summary = stats::StreamingSummary::restored(summary_opts(cfg), rest.summary);
-          break;
-      }
-    } else {
-      ConfigState& st = states[c];
-      CampaignRecorder::Restored& rest = restored[c];
-      using Phase = CampaignRecorder::Restored::Phase;
-      if (rest.phase == Phase::kDone) {
-        r.graph_name = rest.graph_name;
-        r.n = rest.n;
-        r.summary = stats::StreamingSummary::restored(summary_opts(cfg), rest.summary);
-        if (cfg.curves.enabled) {
-          r.curves = stats::CurveAccumulator::restored(curve_opts(cfg), rest.curves);
-          r.contacts = rest.contacts;
-        }
-        continue;
-      }
-      // Batch configs pin the slot grid to the lane width (a trial block IS
-      // one lane batch), so slot boundaries stay a pure function of the
-      // config — never of --block-size — and checkpoints stay addressable.
-      const std::uint64_t cfg_block = effective_block_size(cfg, block_size);
-      const std::size_t slots = slot_count(cfg.trials, cfg_block);
-      st.partials.resize(slots);
-      if (cfg.curves.enabled) {
-        st.curve_partials.resize(slots);
-        st.contact_partials.resize(slots);
-      }
-      std::vector<char> done_slot(slots, 0);
-      for (const auto& [slot, state] : rest.trial_slots) {
-        st.partials[slot] = stats::StreamingSummary::restored(summary_opts(cfg), state);
-        done_slot[slot] = 1;
-      }
-      for (const auto& [slot, state, totals] : rest.curve_slots) {
-        st.curve_partials[slot] = stats::CurveAccumulator::restored(curve_opts(cfg), state);
-        st.contact_partials[slot] = totals;
-      }
-      std::size_t owned = 0;
-      std::vector<Block> missing;
-      for (std::size_t s = 0; s < slots; ++s) {
-        if (shard_of_block(r.id, s, /*whole_config=*/false, shard_count) != shard) continue;
         ++owned;
-        if (done_slot[s] == 0) {
-          missing.push_back(block_for_slot(c, BlockKind::kTrials, 0, cfg.trials, cfg_block, s));
-        }
+        if (restored.count({e, s}) == 0) missing.push_back(cell_block(c, e, s));
       }
-      finalize_here[c] = owned == slots ? 1 : 0;
-      if (finalize_here[c] != 0 && missing.empty()) {
-        // Every block was restored but the snapshot predates the final fold:
-        // re-run the highest slot to re-trigger it (bit-neutral).
-        missing.push_back(
-            block_for_slot(c, BlockKind::kTrials, 0, cfg.trials, cfg_block, slots - 1));
-      }
-      st.blocks_left.store(missing.size(), std::memory_order_relaxed);
-      block_estimate += missing.size();
-      initial.insert(initial.end(), missing.begin(), missing.end());
+    }
+    p.whole = owned == p.grid.size();
+    if (missing.empty() && p.whole) {
+      missing.push_back(
+          cell_block(c, static_cast<std::uint32_t>(p.entrants.size() - 1), p.slots - 1));
+    }
+    p.left.store(missing.size(), std::memory_order_relaxed);
+    return missing;
+  }
+
+  Block cell_block(std::size_t c, std::uint32_t entrant, std::size_t slot) {
+    const Pass& p = states[c].pass;
+    const std::uint64_t begin = static_cast<std::uint64_t>(slot) * p.block;
+    return Block{c, static_cast<BlockKind>(p.kind), entrant, begin,
+                 std::min(begin + p.block, p.trials), slot};
+  }
+
+  void run(const Block& block, obs::WorkerSink* sink) {
+    build_graph_once(block.config, sink);
+    if (block.kind == BlockKind::kPlan) {
+      plan(block.config);
+    } else {
+      run_cell(block, sink);
     }
   }
 
-  unsigned workers = options.threads != 0 ? options.threads : std::thread::hardware_concurrency();
-  if (workers == 0) workers = 1;
-  workers = static_cast<unsigned>(std::min<std::size_t>(workers, block_estimate));
-
-  // Telemetry is strictly observational: every hook below sits behind an
-  // `if (tel)` (or a sink pointer), so a null sink is the exact pre-existing
-  // code path and attached telemetry never influences scheduling decisions.
-  obs::Telemetry* const tel = options.telemetry;
-  if (tel != nullptr) {
-    std::vector<std::string> ids;
-    ids.reserve(results.size());
-    for (const CampaignResult& r : results) ids.push_back(r.id);
-    tel->begin(std::move(ids), std::max(workers, 1u),
-               options.telemetry_label.empty() ? campaign_name : options.telemetry_label);
-  }
-
-  BlockQueue queue(tel);
-  std::exception_ptr error;
-  std::mutex error_mutex;
-
-  auto resolved_final_trials = [](const CampaignConfig& cfg) {
-    return cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
-  };
-
-  // Shared read-only graph cache for file-backed configs: every config
-  // naming the same packed store shares one mmap for the whole campaign (the
-  // OS page cache extends the sharing across --shard processes), so N cells
-  // over one giant graph materialize it once — graph_builds records 1, not N.
-  std::mutex file_graph_mutex;
-  std::map<std::string, std::shared_ptr<const Graph>> file_graphs;
-
-  auto build_graph_once = [&](std::size_t c, obs::WorkerSink* sink) {
+  /// Lazy one-shot graph construction on whichever worker gets there first;
+  /// prebuilt graphs are shared as-is. call_once re-runs on a later caller
+  /// if the builder throws, but the error capture drains the queue before
+  /// that matters.
+  void build_graph_once(std::size_t c, obs::WorkerSink* sink) {
     const CampaignConfig& cfg = configs[c];
     ConfigState& st = states[c];
-    // Lazy one-shot graph construction on whichever worker gets there
-    // first; prebuilt graphs are shared as-is. call_once re-runs on a later
-    // caller if the builder throws, but the error capture below drains the
-    // queue before that matters.
     std::call_once(st.build_once, [&] {
       const std::uint64_t build_begin = sink != nullptr ? sink->now_ns() : 0;
       bool opened_store = false;
       if (cfg.prebuilt != nullptr) {
         st.graph = cfg.prebuilt;
       } else if (cfg.graph.family == "file") {
-        // Open under the cache lock: a concurrent config wanting the same
-        // store waits for the first mapping instead of opening its own.
+        // Shared read-only cache: every config naming the same packed store
+        // shares one mmap for the whole campaign (the OS page cache extends
+        // the sharing across --shard processes). Opened under the cache
+        // lock, so a concurrent config waits for the first mapping.
         const std::lock_guard<std::mutex> lock(file_graph_mutex);
         auto it = file_graphs.find(cfg.graph.path);
         if (it == file_graphs.end()) {
@@ -732,289 +600,289 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
       if (sink != nullptr) {
         // File-backed configs that hit the cache did not materialize
         // anything: graph_builds counts mappings/constructions, so N cells
-        // sharing one store contribute exactly one build (the issue's
-        // "materialized once, not N times" acceptance check).
+        // sharing one store contribute exactly one build.
         if (cfg.graph.family != "file" || opened_store) sink->metrics.graph_builds += 1;
-        sink->span("graph:build", build_begin, sink->now_ns(),
-                   static_cast<std::uint32_t>(c));
+        sink->span("graph:build", build_begin, sink->now_ns(), static_cast<std::uint32_t>(c));
+      }
+      // The engines only assert() that a source is a node, which compiles
+      // out in Release. A spec's source and a snapshot's candidates and
+      // finalists are input, so check them once, against the built graph.
+      for (const graph::NodeId u : st.pass.entrants) {
+        if (u < st.graph->num_nodes()) continue;
+        const PassKind kind = st.pass.kind;
+        throw std::runtime_error(
+            std::string(kind == PassKind::kTrials ? "campaign" : "checkpoint") +
+            ": configuration '" + results[c].id + "' " +
+            (kind == PassKind::kTrials ? "source "
+             : kind == PassKind::kScreen ? "candidate "
+                                         : "finalist ") +
+            std::to_string(u) + " is out of range for " + st.graph->name());
       }
     });
-  };
+  }
 
-  // Block bodies. Each may push successor blocks onto the queue; partials
-  // always land in their slot, and every cross-pass hand-off happens on the
-  // worker that decrements the pass counter to zero — a deterministic
-  // reduction no matter which threads ran which blocks.
-  auto process_block = [&](const Block& block, obs::WorkerSink* sink) {
+  /// kPlan: pick the race's candidates and open its screen pass. The
+  /// entrants are recorded before any screen block can run, so no snapshot
+  /// holds a screen cell without the candidate list it indexes.
+  void plan(std::size_t c) {
+    ConfigState& st = states[c];
+    std::vector<Block> screen = open_pass(
+        c, PassKind::kScreen, candidate_sources(*st.graph, configs[c].race.max_candidates), {});
+    if (recorder != nullptr) recorder->record_entrants(c, PassKind::kScreen, st.pass.entrants);
+    queue.push(std::move(screen));
+  }
+
+  /// kTrials / kScreen / kRefine: run one cell of the current pass, record
+  /// it, and close the pass if this was its last block.
+  void run_cell(const Block& block, obs::WorkerSink* sink) {
     const CampaignConfig& cfg = configs[block.config];
     ConfigState& st = states[block.config];
-    CampaignResult& r = results[block.config];
-    obs::WorkerMetrics* const metrics = sink != nullptr ? &sink->metrics : nullptr;
-    build_graph_once(block.config, sink);
+    Pass& p = st.pass;
     const Graph& g = *st.graph;
-
-    switch (block.kind) {
-      case BlockKind::kTrials: {
-        // The engines only assert() this precondition, which compiles out in
-        // Release — and spec-driven sources are user input, so check it here.
-        if (cfg.source >= g.num_nodes()) {
-          throw std::runtime_error("campaign: configuration '" + r.id + "' source " +
-                                   std::to_string(cfg.source) + " is out of range for " +
-                                   g.name());
-        }
-        const bool curves_on = cfg.curves.enabled;
-        stats::StreamingSummary partial(summary_opts(cfg));
-        stats::CurveAccumulator curve_partial(curves_on ? curve_opts(cfg)
-                                                        : stats::CurveAccumulator::Options{});
-        stats::ContactTotals contact_partial;
-        std::vector<double> curve;
-        if (cfg.engine == EngineKind::kBatchSync) {
-          // One block = one lane batch on one shared engine, seeded by the
-          // block's first trial index — the batch analogue of run_one's
-          // derive_stream(seed, t) identity. effective_block_size pinned
-          // the slot grid to cfg.lanes, so lane l of this block is trial
-          // block.begin + l under every thread count, shard split, and
-          // resume.
-          core::BatchSyncOptions batch_options;
-          batch_options.mode = cfg.mode;
-          batch_options.message_loss = cfg.message_loss;
-          batch_options.lanes = static_cast<std::uint32_t>(block.end - block.begin);
-          rng::Engine eng = rng::derive_stream(cfg.seed, block.begin);
-          const core::BatchSyncResult batch = core::run_batch_sync(g, cfg.source, eng,
-                                                                   batch_options);
-          if (!batch.completed) {
-            throw std::runtime_error(
-                "campaign: engine 'batch_sync' hit its round cap (disconnected graph?)");
-          }
-          for (std::uint32_t l = 0; l < batch.lanes; ++l) {
-            partial.add(static_cast<double>(batch.rounds[l]), block.begin + l);
-          }
-          if (metrics != nullptr) metrics->sync_rounds += batch.total_rounds;
-        } else {
-          for (std::uint64_t t = block.begin; t < block.end; ++t) {
-            partial.add(run_one(cfg, g, st.weighted.get(), st.edges.get(), cfg.source, cfg.seed,
-                                t, metrics, curves_on ? &curve : nullptr,
-                                curves_on ? &contact_partial : nullptr),
-                        t);
-            if (curves_on) curve_partial.add(curve);
-          }
-        }
-        st.partials[block.slot] = std::move(partial);
-        if (curves_on) {
-          st.curve_partials[block.slot] = std::move(curve_partial);
-          st.contact_partials[block.slot] = contact_partial;
-        }
-        if (recorder != nullptr) {
-          recorder->record_trial_slot(block.config, block.slot, st.partials[block.slot],
-                                      curves_on ? &st.curve_partials[block.slot] : nullptr,
-                                      curves_on ? &st.contact_partials[block.slot] : nullptr);
-        }
-        if (st.blocks_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Last owned block of this configuration: fold partials in slot
-          // order (when this run owns every slot) and release the graph and
-          // per-block state — from here on the configuration occupies only
-          // its constant-size summary.
-          if (finalize_here[block.config] != 0) {
-            const std::uint64_t merge_begin = sink != nullptr ? sink->now_ns() : 0;
-            stats::StreamingSummary total = std::move(st.partials.front());
-            for (std::size_t s = 1; s < st.partials.size(); ++s) total.merge(st.partials[s]);
-            if (curves_on) {
-              stats::CurveAccumulator curve_total = std::move(st.curve_partials.front());
-              stats::ContactTotals contact_total = st.contact_partials.front();
-              for (std::size_t s = 1; s < st.curve_partials.size(); ++s) {
-                curve_total.merge(st.curve_partials[s]);
-                contact_total.merge(st.contact_partials[s]);
-              }
-              r.curves = std::move(curve_total);
-              r.contacts = contact_total;
-            }
-            r.graph_name = g.name();
-            r.n = g.num_nodes();
-            r.summary = std::move(total);
-            if (sink != nullptr) {
-              sink->span("merge", merge_begin, sink->now_ns(),
-                         static_cast<std::uint32_t>(block.config));
-            }
-            if (recorder != nullptr) recorder->record_done(block.config, r);
-          }
-          st.partials.clear();
-          st.partials.shrink_to_fit();
-          st.curve_partials.clear();
-          st.curve_partials.shrink_to_fit();
-          st.contact_partials.clear();
-          st.contact_partials.shrink_to_fit();
-          st.graph.reset();
-          st.weighted.reset();
-          st.edges.reset();
-          // File-backed graphs are not freed here: the campaign's shared
-          // cache keeps the one mapping alive until the run ends, so only
-          // per-config owned graphs count as frees.
-          if (metrics != nullptr && (cfg.prebuilt != nullptr || cfg.graph.family != "file")) {
-            metrics->graph_frees += 1;
-          }
-        }
-        break;
+    obs::WorkerMetrics* const metrics = sink != nullptr ? &sink->metrics : nullptr;
+    const graph::NodeId u = p.entrants[block.entrant];
+    PassPartial partial;
+    if (p.kind != PassKind::kScreen) {
+      partial.summary.emplace(
+          summary_options_for(cfg, options.sketch_capacity, options.reservoir_capacity));
+    }
+    if (cfg.curves.enabled) partial.curves.emplace(curve_options_for(cfg, options.sketch_capacity));
+    if (cfg.engine == EngineKind::kBatchSync) {
+      // One block = one lane batch on one shared engine, seeded by the
+      // block's first trial index — the batch analogue of run_one's
+      // derive_stream(seed, t) identity. pass_block_size pinned the slot
+      // grid to cfg.lanes, so lane l of this block is trial block.begin + l
+      // under every thread count, shard split, and resume.
+      core::BatchSyncOptions batch_options;
+      batch_options.mode = cfg.mode;
+      batch_options.message_loss = cfg.message_loss;
+      batch_options.lanes = static_cast<std::uint32_t>(block.end - block.begin);
+      rng::Engine eng = rng::derive_stream(cfg.seed, block.begin);
+      const core::BatchSyncResult batch = core::run_batch_sync(g, u, eng, batch_options);
+      if (!batch.completed) {
+        throw std::runtime_error(
+            "campaign: engine 'batch_sync' hit its round cap (disconnected graph?)");
       }
-      case BlockKind::kPlan: {
-        st.candidates = candidate_sources(g, cfg.race.max_candidates);
-        const std::uint32_t count = static_cast<std::uint32_t>(st.candidates.size());
-        st.screen_partials.assign(count, {});
-        std::vector<Block> screen;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::size_t before = screen.size();
-          plan_blocks(screen, block.config, BlockKind::kScreen, i, cfg.race.screen_trials,
-                      block_size);
-          st.screen_partials[i].resize(screen.size() - before);
-        }
-        // Recorded before the screen blocks can run, so no snapshot ever
-        // holds screen partials without the candidate list they index.
-        if (recorder != nullptr) recorder->record_plan(block.config, st.candidates);
-        st.screen_left.store(screen.size(), std::memory_order_relaxed);
-        queue.push(std::move(screen));
-        break;
+      for (std::uint32_t l = 0; l < batch.lanes; ++l) {
+        partial.add(static_cast<double>(batch.rounds[l]), block.begin + l);
       }
-      case BlockKind::kScreen: {
-        const graph::NodeId u = st.candidates[block.entrant];
-        stats::RunningMoments partial;
-        const std::uint64_t stream_seed = cfg.seed + kSourceStride * u;
-        for (std::uint64_t t = block.begin; t < block.end; ++t) {
-          partial.add(run_one(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, t,
-                              metrics));
-        }
-        st.screen_partials[block.entrant][block.slot] = partial;
-        if (recorder != nullptr) {
-          recorder->record_screen_slot(block.config, block.entrant, block.slot, partial);
-        }
-        if (st.screen_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Screening complete: rank candidates by mean (descending, node id
-          // as the deterministic tie-break) and enqueue the refine pass for
-          // the leaders.
-          std::vector<std::pair<double, graph::NodeId>> screened;
-          screened.reserve(st.candidates.size());
-          for (std::size_t i = 0; i < st.candidates.size(); ++i) {
-            stats::RunningMoments total = st.screen_partials[i].front();
-            for (std::size_t s = 1; s < st.screen_partials[i].size(); ++s) {
-              total.merge(st.screen_partials[i][s]);
-            }
-            screened.emplace_back(total.mean(), st.candidates[i]);
-          }
-          std::sort(screened.begin(), screened.end(), std::greater<>());
-          const std::uint32_t finalists = std::min<std::uint32_t>(
-              cfg.race.finalists, static_cast<std::uint32_t>(screened.size()));
-          st.finalists.clear();
-          for (std::uint32_t i = 0; i < finalists; ++i) st.finalists.push_back(screened[i].second);
-          st.screen_partials.clear();
-          st.screen_partials.shrink_to_fit();
-
-          const std::uint64_t final_trials = resolved_final_trials(cfg);
-          st.refine_partials.assign(finalists, {});
-          std::vector<Block> refine;
-          for (std::uint32_t i = 0; i < finalists; ++i) {
-            const std::size_t before = refine.size();
-            plan_blocks(refine, block.config, BlockKind::kRefine, i, final_trials, block_size);
-            st.refine_partials[i].resize(refine.size() - before);
-          }
-          // As with record_plan: finalists land in the snapshot before any
-          // refine partial can reference them.
-          if (recorder != nullptr) recorder->record_finalists(block.config, st.finalists);
-          st.refine_left.store(refine.size(), std::memory_order_relaxed);
-          queue.push(std::move(refine));
-        }
-        break;
-      }
-      case BlockKind::kRefine: {
-        const graph::NodeId u = st.finalists[block.entrant];
-        stats::StreamingSummary partial(summary_opts(cfg));
-        const std::uint64_t stream_seed = cfg.seed + 1 + kSourceStride * u;
-        for (std::uint64_t t = block.begin; t < block.end; ++t) {
-          partial.add(run_one(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, t,
-                              metrics),
-                      t);
-        }
-        st.refine_partials[block.entrant][block.slot] = std::move(partial);
-        if (recorder != nullptr) {
-          recorder->record_refine_slot(block.config, block.entrant, block.slot,
-                                       st.refine_partials[block.entrant][block.slot]);
-        }
-        if (st.refine_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          // Refinement complete: fold each finalist in slot order, keep the
-          // worst finalist's full summary as the configuration's result
-          // (first-seen wins ties, matching the historical adversary scan).
-          const std::uint64_t merge_begin = sink != nullptr ? sink->now_ns() : 0;
-          bool first = true;
-          for (std::size_t i = 0; i < st.finalists.size(); ++i) {
-            stats::StreamingSummary total = std::move(st.refine_partials[i].front());
-            for (std::size_t s = 1; s < st.refine_partials[i].size(); ++s) {
-              total.merge(st.refine_partials[i][s]);
-            }
-            const double mean = total.mean();
-            if (first || mean > r.summary.mean()) {
-              r.source = st.finalists[i];
-              r.summary = std::move(total);
-            }
-            if (first || mean < r.best_mean) {
-              r.best_source = st.finalists[i];
-              r.best_mean = mean;
-            }
-            first = false;
-          }
-          r.graph_name = g.name();
-          r.n = g.num_nodes();
-          if (sink != nullptr) {
-            sink->span("merge", merge_begin, sink->now_ns(),
-                       static_cast<std::uint32_t>(block.config));
-          }
-          if (recorder != nullptr) recorder->record_done(block.config, r);
-          st.refine_partials.clear();
-          st.refine_partials.shrink_to_fit();
-          st.finalists.clear();
-          st.candidates.clear();
-          st.graph.reset();
-          st.weighted.reset();
-          st.edges.reset();
-          // File-backed graphs are not freed here: the campaign's shared
-          // cache keeps the one mapping alive until the run ends, so only
-          // per-config owned graphs count as frees.
-          if (metrics != nullptr && (cfg.prebuilt != nullptr || cfg.graph.family != "file")) {
-            metrics->graph_frees += 1;
-          }
-        }
-        break;
+      if (metrics != nullptr) metrics->sync_rounds += batch.total_rounds;
+    } else {
+      const std::uint64_t stream_seed =
+          p.kind == PassKind::kTrials
+              ? cfg.seed
+              : cfg.seed + (p.kind == PassKind::kRefine ? 1 : 0) + kSourceStride * u;
+      std::vector<double> curve;
+      for (std::uint64_t t = block.begin; t < block.end; ++t) {
+        partial.add(run_one(cfg, g, st.weighted.get(), st.edges.get(), u, stream_seed, t, metrics,
+                            partial.curves ? &curve : nullptr, &partial.contacts),
+                    t);
+        if (partial.curves) partial.curves->add(curve);
       }
     }
-  };
+    PassPartial& cell = p.cell(block.entrant, block.slot);
+    cell = std::move(partial);
+    if (recorder != nullptr) {
+      recorder->record_cell(block.config, p.kind, {block.entrant, block.slot}, cell);
+    }
+    if (p.left.fetch_sub(1, std::memory_order_acq_rel) == 1) close_pass(block.config, sink);
+  }
 
-  queue.push(std::move(initial));
+  /// Runs on the worker that finished a pass's last block: folds the pass
+  /// in slot order, then hands off (screen to refine) or publishes the
+  /// result and releases the graph and partials — from there on the
+  /// configuration occupies only its constant-size result.
+  void close_pass(std::size_t c, obs::WorkerSink* sink) {
+    const CampaignConfig& cfg = configs[c];
+    ConfigState& st = states[c];
+    Pass& p = st.pass;
+    CampaignResult& r = results[c];
+    if (p.kind == PassKind::kScreen) {
+      // Rank candidates by mean (descending, node id as the deterministic
+      // tie-break) and refine the leaders.
+      std::vector<std::pair<double, graph::NodeId>> screened;
+      screened.reserve(p.entrants.size());
+      for (std::uint32_t e = 0; e < p.entrants.size(); ++e) {
+        screened.emplace_back(fold_slots(p.row(e)).moments.mean(), p.entrants[e]);
+      }
+      std::sort(screened.begin(), screened.end(), std::greater<>());
+      screened.resize(std::min<std::size_t>(screened.size(), cfg.race.finalists));
+      std::vector<graph::NodeId> finalists;
+      for (const auto& [mean, u] : screened) finalists.push_back(u);
+      std::vector<Block> refine = open_pass(c, PassKind::kRefine, std::move(finalists), {});
+      if (recorder != nullptr) recorder->record_entrants(c, PassKind::kRefine, p.entrants);
+      queue.push(std::move(refine));
+      return;
+    }
+    if (p.whole) {
+      // The result is the slowest entrant's full fold (a fixed source's
+      // only one; among refined finalists, first-seen wins ties, matching
+      // the historical adversary scan), plus the fastest finalist's mean.
+      const std::uint64_t merge_begin = sink != nullptr ? sink->now_ns() : 0;
+      for (std::uint32_t e = 0; e < p.entrants.size(); ++e) {
+        PassPartial total = fold_slots(p.row(e));
+        const double mean = total.summary->mean();
+        if (e == 0 || mean > r.summary.mean()) {
+          r.source = p.entrants[e];
+          r.summary = std::move(*total.summary);
+        }
+        if (p.kind == PassKind::kRefine && (e == 0 || mean < r.best_mean)) {
+          r.best_source = p.entrants[e];
+          r.best_mean = mean;
+        }
+        if (total.curves) {
+          r.curves = std::move(*total.curves);
+          r.contacts = total.contacts;
+        }
+      }
+      r.graph_name = st.graph->name();
+      r.n = st.graph->num_nodes();
+      if (sink != nullptr) {
+        sink->span("merge", merge_begin, sink->now_ns(), static_cast<std::uint32_t>(c));
+      }
+      if (recorder != nullptr) recorder->record_done(c, r);
+    }
+    p.grid.clear();
+    p.grid.shrink_to_fit();
+    p.entrants.clear();
+    st.graph.reset();
+    st.weighted.reset();
+    st.edges.reset();
+    // File-backed graphs are not freed here: the campaign's shared cache
+    // keeps the one mapping alive until the run ends, so only per-config
+    // owned graphs count as frees.
+    if (sink != nullptr && (cfg.prebuilt != nullptr || cfg.graph.family != "file")) {
+      sink->metrics.graph_frees += 1;
+    }
+  }
 
+  const std::vector<CampaignConfig>& configs;
+  const CampaignOptions& options;
+  const std::uint64_t block_size;
+  const std::uint32_t shard_count;
+  const std::uint32_t shard;  // 0-based
+  CampaignRecorder* const recorder;  // null unless recording
+  BlockQueue queue;
+  std::vector<ConfigState> states;
+  std::vector<CampaignResult> results;
+  std::mutex file_graph_mutex;
+  std::map<std::string, std::shared_ptr<const Graph>> file_graphs;
+};
+
+/// The scheduler core behind run_campaign and run_campaign_resumable:
+/// validation, start-up from restored progress, the worker pool, and error
+/// capture. `recording` switches on the snapshot layer (checkpoints,
+/// shards, resume); without it the scheduler is the original zero-overhead
+/// path.
+CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
+                                  const CampaignOptions& options,
+                                  const std::string& campaign_name, const Json* resume,
+                                  bool recording) {
+  const std::uint32_t shard_count = std::max<std::uint32_t>(options.shard_count, 1);
+  if (options.shard_index < 1 || options.shard_index > shard_count) {
+    throw std::runtime_error("campaign: shard index " + std::to_string(options.shard_index) +
+                             " out of range 1.." + std::to_string(shard_count));
+  }
+
+  std::unique_ptr<CampaignRecorder> recorder;
+  if (recording) {
+    // Snapshots address configurations by id, so recorded campaigns need
+    // unique ids (the spec parser already rejects collisions; this guards
+    // API callers handing in configs directly).
+    std::map<std::string, std::size_t> seen;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      const auto [it, inserted] = seen.emplace(resolved_config_id(configs[c], c), c);
+      if (!inserted) {
+        throw std::runtime_error("campaign: configurations " + std::to_string(it->second) +
+                                 " and " + std::to_string(c) + " share the id '" + it->first +
+                                 "' (checkpoints and shards address configs by id)");
+      }
+    }
+    recorder = std::make_unique<CampaignRecorder>(configs, options, campaign_name);
+  }
+  std::vector<CampaignRecorder::Restored> restored(configs.size());
+  if (resume != nullptr) restored = recorder->load(*resume);
+
+  CampaignRun run(configs, options, options.shard_index - 1, recorder.get());
+  std::vector<Block> initial;
+  // For the worker-count heuristic only: a generous upper bound on how many
+  // blocks the campaign can ever schedule (race passes expand lazily).
+  std::size_t block_estimate = 0;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const CampaignConfig& cfg = configs[c];
+    run.results[c] = campaign_result_skeleton(cfg, c);
+    // Validate here (not in a worker, which would race to report it) so
+    // API callers get the same guarantees the spec parser enforces.
+    if (const std::string cfg_error = config_error(cfg); !cfg_error.empty()) {
+      throw std::runtime_error("campaign: configuration '" + run.results[c].id +
+                               "': " + cfg_error);
+    }
+    std::vector<Block> blocks = run.start(c, restored[c]);
+    if (cfg.source_policy == SourcePolicy::kRace) {
+      const std::size_t cand_bound = cfg.race.max_candidates != 0
+                                         ? cfg.race.max_candidates
+                                         : (cfg.prebuilt != nullptr ? cfg.prebuilt->num_nodes()
+                                                                    : cfg.graph.n);
+      block_estimate +=
+          1 + cand_bound * (cfg.race.screen_trials / run.block_size + 1) +
+          cfg.race.finalists * (pass_trials(cfg, PassKind::kRefine) / run.block_size + 1);
+    } else {
+      block_estimate += blocks.size();
+    }
+    initial.insert(initial.end(), blocks.begin(), blocks.end());
+  }
+  std::stable_sort(initial.begin(), initial.end(), [](const Block& a, const Block& b) {
+    return queue_rank(a.kind) < queue_rank(b.kind);
+  });
+
+  unsigned workers = options.threads != 0 ? options.threads : std::thread::hardware_concurrency();
+  if (workers == 0) workers = 1;
+  workers = static_cast<unsigned>(std::min<std::size_t>(workers, block_estimate));
+
+  // Telemetry is strictly observational: every hook below sits behind an
+  // `if (tel)` (or a sink pointer), so a null sink is the exact pre-existing
+  // code path and attached telemetry never influences scheduling decisions.
+  obs::Telemetry* const tel = options.telemetry;
+  if (tel != nullptr) {
+    std::vector<std::string> ids;
+    ids.reserve(run.results.size());
+    for (const CampaignResult& r : run.results) ids.push_back(r.id);
+    tel->begin(std::move(ids), std::max(workers, 1u),
+               options.telemetry_label.empty() ? campaign_name : options.telemetry_label);
+  }
+  run.queue.push(std::move(initial));
+
+  std::exception_ptr error;
+  std::mutex error_mutex;
   std::atomic<bool> stopped{false};
 
   auto worker = [&](unsigned wid) {
     obs::WorkerSink* const sink = tel != nullptr ? &tel->sink(wid) : nullptr;
     std::uint64_t wait_begin = sink != nullptr ? sink->now_ns() : 0;
     Block block;
-    while (queue.pop(block)) {
+    while (run.queue.pop(block)) {
       const std::uint64_t started = sink != nullptr ? sink->now_ns() : 0;
       if (sink != nullptr) sink->metrics.idle_ns += started - wait_begin;
-      if (tel != nullptr) tel->set_phase(block_phase_name(block.kind));
+      if (tel != nullptr) tel->set_phase(kBlockPhaseName[static_cast<int>(block.kind)]);
       bool ok = false;
       try {
-        process_block(block, sink);
+        run.run(block, sink);
         ok = true;
         if (recorder != nullptr && recorder->block_finished()) {
           // stop_after_blocks budget exhausted: drain the queue; in-flight
           // blocks still finish and record, so the final checkpoint below
           // loses nothing that was computed.
           stopped.store(true, std::memory_order_relaxed);
-          queue.abort();
+          run.queue.abort();
         }
       } catch (...) {
         {
           const std::scoped_lock lock(error_mutex);
           if (!error) error = std::current_exception();
         }
-        queue.abort();
+        run.queue.abort();
       }
-      queue.finish_one();
+      run.queue.finish_one();
       if (sink != nullptr) {
         const std::uint64_t finished = sink->now_ns();
         sink->metrics.busy_ns += finished - started;
@@ -1027,7 +895,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
           cost.blocks += 1;
           cost.trials += block.end - block.begin;
           cost.busy_ns += finished - started;
-          sink->span(block_span_name(block.kind), started, finished,
+          sink->span(kBlockSpanName[static_cast<int>(block.kind)], started, finished,
                      static_cast<std::uint32_t>(block.config),
                      static_cast<std::int64_t>(block.slot));
         }
@@ -1052,7 +920,7 @@ CampaignOutcome run_campaign_impl(const std::vector<CampaignConfig>& configs,
   }
 
   CampaignOutcome outcome;
-  outcome.results = std::move(results);
+  outcome.results = std::move(run.results);
   outcome.complete = !stopped.load(std::memory_order_relaxed);
   if (recorder != nullptr) {
     outcome.blocks_done = recorder->blocks_done();

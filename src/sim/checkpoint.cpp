@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
+#include <tuple>
 
 #include "graph/graph_store.hpp"
 #include "obs/telemetry.hpp"
@@ -54,10 +55,6 @@ void put(std::string& out, std::uint64_t v) {
 void put(std::string& out, double v) {
   out += Json(v).dump();
   out += '|';
-}
-
-std::size_t slot_count(std::uint64_t trials, std::uint64_t block_size) {
-  return static_cast<std::size_t>((trials + block_size - 1) / block_size);
 }
 
 }  // namespace
@@ -371,8 +368,11 @@ Json curves_to_json(const stats::CurveAccumulator::State& s, const stats::Contac
   return o;
 }
 
-stats::CurveAccumulator::State curve_state_from_json(const Json& o, std::size_t points,
-                                                     const std::string& ctx) {
+/// Reads back what curves_to_json wrote, restored with the scheduler's
+/// construction options.
+std::pair<stats::CurveAccumulator, stats::ContactTotals> curves_from_json(
+    const Json& o, const CampaignConfig& cfg, std::size_t sketch_capacity, const std::string& ctx) {
+  const std::size_t points = cfg.curves.points;
   stats::CurveAccumulator::State s;
   s.trials = req_uint(o, "trials", ctx);
   s.max_len = req_uint(o, "max_len", ctx);
@@ -387,7 +387,8 @@ stats::CurveAccumulator::State curve_state_from_json(const Json& o, std::size_t 
                   std::to_string(s.sketches.size()) + ", the spec's curves.points is " +
                   std::to_string(points));
   }
-  return s;
+  return {stats::CurveAccumulator::restored(curve_options_for(cfg, sketch_capacity), s),
+          totals_from_json(require(o, "contacts", ctx), ctx)};
 }
 
 Json ids_to_json(const std::vector<graph::NodeId>& ids) {
@@ -411,42 +412,122 @@ std::vector<graph::NodeId> ids_from_json(const Json& arr, const char* what,
   return out;
 }
 
-/// One snapshot's validated header.
-struct SnapshotHeader {
-  std::string campaign;
-  std::string spec_hash;
-  std::uint64_t block_size = 0;
-  std::uint64_t sketch_capacity = 0;
-  std::uint64_t reservoir_capacity = 0;
-  std::uint32_t shard_index = 1;
-  std::uint32_t shard_count = 1;
-  bool finished = false;
-  std::uint64_t blocks_done = 0;
+/// A phase's key names: the snapshot phase, the entrant-id list (race
+/// passes), the cell array, and the key of a cell's encoded partial.
+struct PassKeys {
+  const char* phase;
+  const char* entrants;
+  const char* cells;
+  const char* value;
 };
 
-SnapshotHeader parse_header(const Json& doc, const std::string& ctx) {
-  if (!doc.is_object()) fail(ctx, "document is not a JSON object");
-  const std::string format = req_string(doc, "format", ctx);
-  if (format != kSnapshotFormat) {
-    fail(ctx, "not a campaign checkpoint (format '" + format + "', expected '" +
-                  kSnapshotFormat + "')");
+constexpr PassKeys kPassKeys[] = {
+    {"trials", nullptr, "slots", "summary"},
+    {"screen", "candidates", "screen", "moments"},
+    {"refine", "finalists", "refine", "summary"},
+};
+
+const PassKeys& keys_of(PassKind kind) noexcept { return kPassKeys[static_cast<int>(kind)]; }
+
+std::optional<PassKind> pass_of_phase(const std::string& phase) noexcept {
+  for (const PassKind kind : {PassKind::kTrials, PassKind::kScreen, PassKind::kRefine}) {
+    if (phase == keys_of(kind).phase) return kind;
   }
-  const std::uint64_t version = req_uint(doc, "version", ctx);
-  if (version != static_cast<std::uint64_t>(kSnapshotVersion)) {
-    fail(ctx, "unsupported checkpoint version " + std::to_string(version) + " (this build reads " +
-                  std::to_string(kSnapshotVersion) + ")");
+  return std::nullopt;
+}
+
+/// A cell's snapshot entry: {"entrant" (race passes), "slot", <value key>,
+/// "curves" (curve-recording configurations)}.
+Json cell_json(PassKind kind, PassCell cell, Json value, Json curves) {
+  Json s = Json::object();
+  if (kind != PassKind::kTrials) s.set("entrant", static_cast<std::uint64_t>(cell.first));
+  s.set("slot", static_cast<std::uint64_t>(cell.second));
+  s.set(keys_of(kind).value, std::move(value));
+  if (!curves.is_null()) s.set("curves", std::move(curves));
+  return s;
+}
+
+/// One snapshot cell as read back: its encoded partial and curve partial
+/// (what later snapshots re-emit) and the decoded partial.
+struct ReadCell {
+  std::pair<Json, Json> encoded;
+  PassPartial partial;
+};
+
+/// The cells of one snapshot entry in `kind`'s phase, validated against
+/// `cfg` (address in range, no duplicate, a curve partial exactly when the
+/// spec enables curves) and decoded with the scheduler's construction
+/// options. The one cell reader of resume and merge.
+std::map<PassCell, ReadCell> read_cells(const Json& e, const CampaignConfig& cfg, PassKind kind,
+                                        std::size_t entrants, const SnapshotHeader& h,
+                                        const std::string& ctx) {
+  const PassKeys& keys = keys_of(kind);
+  const std::size_t slots = pass_slots(cfg, kind, h.block_size);
+  const auto summary_options = summary_options_for(cfg, h.sketch_capacity, h.reservoir_capacity);
+  std::map<PassCell, ReadCell> out;
+  for (const Json& s : opt_array(e, keys.cells, ctx)) {
+    const std::uint64_t entrant = kind == PassKind::kTrials ? 0 : req_uint(s, "entrant", ctx);
+    const std::uint64_t slot = req_uint(s, "slot", ctx);
+    const std::string name =
+        kind == PassKind::kTrials
+            ? "slot " + std::to_string(slot)
+            : std::string(keys.phase) + " block (entrant " + std::to_string(entrant) + ", slot " +
+                  std::to_string(slot) + ")";
+    if (entrant >= entrants || slot >= slots) {
+      fail(ctx, name + " out of range (config has " + std::to_string(slots) + " blocks" +
+                    (kind == PassKind::kTrials
+                         ? std::string()
+                         : " for each of " + std::to_string(entrants) + " entrants") +
+                    ")");
+    }
+    const PassCell cell{static_cast<std::uint32_t>(entrant), static_cast<std::size_t>(slot)};
+    if (out.count(cell) != 0) fail(ctx, "duplicate " + name);
+    // Curve partials travel with their cell: a curves-enabled config must
+    // have one per recorded cell (and a curve-free config none), so resume
+    // never silently drops telemetry that was computed.
+    const Json* cv = s.find("curves");
+    if (cfg.curves.enabled && cv == nullptr) {
+      fail(ctx, name + " has no curve partial but the spec enables curves");
+    }
+    if (!cfg.curves.enabled && cv != nullptr) {
+      fail(ctx, name + " has a curve partial but the spec does not enable curves");
+    }
+    const Json& value = require(s, keys.value, ctx);
+    PassPartial partial;
+    if (kind == PassKind::kScreen) {
+      partial.moments.restore(moments_from_json(value, ctx));
+    } else {
+      partial.summary = stats::StreamingSummary::restored(summary_options,
+                                                          summary_from_json(value, ctx));
+    }
+    if (cv != nullptr) {
+      auto [curves, contacts] = curves_from_json(*cv, cfg, h.sketch_capacity, ctx);
+      partial.curves = std::move(curves);
+      partial.contacts = contacts;
+    }
+    out.emplace(cell, ReadCell{{value, cv != nullptr ? *cv : Json()}, std::move(partial)});
   }
-  SnapshotHeader h;
-  h.campaign = req_string(doc, "campaign", ctx);
-  h.spec_hash = req_string(doc, "spec_hash", ctx);
-  h.block_size = req_uint(doc, "block_size", ctx);
-  h.sketch_capacity = req_uint(doc, "sketch_capacity", ctx);
-  h.reservoir_capacity = req_uint(doc, "reservoir_capacity", ctx);
-  h.shard_index = static_cast<std::uint32_t>(req_uint(doc, "shard_index", ctx));
-  h.shard_count = static_cast<std::uint32_t>(req_uint(doc, "shard_count", ctx));
-  h.finished = req_bool(doc, "finished", ctx);
-  h.blocks_done = req_uint(doc, "blocks_done", ctx);
-  return h;
+  return out;
+}
+
+/// A "done" entry's result, decoded onto configuration `index`'s skeleton.
+/// The one result reader of resume and merge.
+CampaignResult read_result(const Json& result, const CampaignConfig& cfg, std::size_t index,
+                           const SnapshotHeader& h, const std::string& ctx) {
+  CampaignResult r = campaign_result_skeleton(cfg, index);
+  r.graph_name = req_string(result, "graph", ctx);
+  r.n = req_uint(result, "n", ctx);
+  r.source = static_cast<graph::NodeId>(req_uint(result, "source", ctx));
+  r.best_source = static_cast<graph::NodeId>(req_uint(result, "best_source", ctx));
+  r.best_mean = req_number(result, "best_mean", ctx);
+  r.summary = stats::StreamingSummary::restored(
+      summary_options_for(cfg, h.sketch_capacity, h.reservoir_capacity),
+      summary_from_json(require(result, "summary", ctx), ctx));
+  if (cfg.curves.enabled) {
+    std::tie(r.curves, r.contacts) =
+        curves_from_json(require(result, "curves", ctx), cfg, h.sketch_capacity, ctx);
+  }
+  return r;
 }
 
 /// Header checks shared by resume and merge: the snapshot must describe
@@ -464,6 +545,43 @@ void check_spec_identity(const SnapshotHeader& h, const std::string& campaign_na
 }
 
 }  // namespace
+
+SnapshotHeader read_snapshot_header(const Json& doc, const std::string& ctx) {
+  if (!doc.is_object()) fail(ctx, "document is not a JSON object");
+  const std::string format = req_string(doc, "format", ctx);
+  if (format != kSnapshotFormat) {
+    fail(ctx, "not a campaign checkpoint (format '" + format + "', expected '" +
+                  kSnapshotFormat + "')");
+  }
+  const std::uint64_t version = req_uint(doc, "version", ctx);
+  if (version != static_cast<std::uint64_t>(kSnapshotVersion)) {
+    fail(ctx, "unsupported checkpoint version " + std::to_string(version) + " (this build reads " +
+                  std::to_string(kSnapshotVersion) + ")");
+  }
+  SnapshotHeader h;
+  h.campaign = req_string(doc, "campaign", ctx);
+  h.spec_hash = req_string(doc, "spec_hash", ctx);
+  h.block_size = req_uint(doc, "block_size", ctx);
+  if (h.block_size == 0) fail(ctx, "key 'block_size' must be >= 1");
+  h.sketch_capacity = req_uint(doc, "sketch_capacity", ctx);
+  h.reservoir_capacity = req_uint(doc, "reservoir_capacity", ctx);
+  // Range-checked before narrowing: a count of 2^32 + 2 must not pass for 2.
+  const std::uint64_t shard_count = req_uint(doc, "shard_count", ctx);
+  if (shard_count < 1 || shard_count > std::numeric_limits<std::uint32_t>::max()) {
+    fail(ctx, "key 'shard_count' must be in 1..4294967295 (got " + std::to_string(shard_count) +
+                  ")");
+  }
+  const std::uint64_t shard_index = req_uint(doc, "shard_index", ctx);
+  if (shard_index < 1 || shard_index > shard_count) {
+    fail(ctx, "key 'shard_index' must be in 1..shard_count=" + std::to_string(shard_count) +
+                  " (got " + std::to_string(shard_index) + ")");
+  }
+  h.shard_count = static_cast<std::uint32_t>(shard_count);
+  h.shard_index = static_cast<std::uint32_t>(shard_index);
+  h.finished = req_bool(doc, "finished", ctx);
+  h.blocks_done = req_uint(doc, "blocks_done", ctx);
+  return h;
+}
 
 // --- CampaignRecorder --------------------------------------------------------
 
@@ -485,55 +603,25 @@ void CampaignRecorder::record_graph(std::size_t config, const std::string& graph
   sc.has_graph = true;
 }
 
-void CampaignRecorder::record_trial_slot(std::size_t config, std::size_t slot,
-                                         const stats::StreamingSummary& partial,
-                                         const stats::CurveAccumulator* curves,
-                                         const stats::ContactTotals* contacts) {
-  Json s = summary_to_json(partial.state());
-  Json c = curves != nullptr ? curves_to_json(curves->state(), *contacts) : Json();
+void CampaignRecorder::record_entrants(std::size_t config, PassKind kind,
+                                       const std::vector<graph::NodeId>& entrants) {
   const std::scoped_lock lock(mutex_);
   StoredConfig& sc = store_[config];
-  sc.phase = "trials";
-  sc.slots[slot] = std::move(s);
-  if (curves != nullptr) sc.slot_curves[slot] = std::move(c);
+  sc.phase = keys_of(kind).phase;
+  sc.entrants = entrants;
+  // The previous pass is folded and gone; the snapshot drops it with it.
+  sc.cells.clear();
 }
 
-void CampaignRecorder::record_plan(std::size_t config,
-                                   const std::vector<graph::NodeId>& candidates) {
+void CampaignRecorder::record_cell(std::size_t config, PassKind kind, PassCell cell,
+                                   const PassPartial& partial) {
+  Json value = kind == PassKind::kScreen ? moments_to_json(partial.moments.state())
+                                         : summary_to_json(partial.summary->state());
+  Json curves = partial.curves ? curves_to_json(partial.curves->state(), partial.contacts) : Json();
   const std::scoped_lock lock(mutex_);
   StoredConfig& sc = store_[config];
-  sc.phase = "screen";
-  sc.candidates = candidates;
-  sc.has_candidates = true;
-}
-
-void CampaignRecorder::record_screen_slot(std::size_t config, std::uint32_t entrant,
-                                          std::size_t slot,
-                                          const stats::RunningMoments& partial) {
-  Json m = moments_to_json(partial.state());
-  const std::scoped_lock lock(mutex_);
-  store_[config].screen[{entrant, slot}] = std::move(m);
-}
-
-void CampaignRecorder::record_finalists(std::size_t config,
-                                        const std::vector<graph::NodeId>& finalists) {
-  const std::scoped_lock lock(mutex_);
-  StoredConfig& sc = store_[config];
-  sc.phase = "refine";
-  sc.finalists = finalists;
-  sc.has_finalists = true;
-  // The screen pass is folded and gone; the snapshot drops it with it.
-  sc.screen.clear();
-  sc.candidates.clear();
-  sc.has_candidates = false;
-}
-
-void CampaignRecorder::record_refine_slot(std::size_t config, std::uint32_t entrant,
-                                          std::size_t slot,
-                                          const stats::StreamingSummary& partial) {
-  Json s = summary_to_json(partial.state());
-  const std::scoped_lock lock(mutex_);
-  store_[config].refine[{entrant, slot}] = std::move(s);
+  sc.phase = keys_of(kind).phase;
+  sc.cells[cell] = {std::move(value), std::move(curves)};
 }
 
 void CampaignRecorder::record_done(std::size_t config, const CampaignResult& result) {
@@ -551,14 +639,8 @@ void CampaignRecorder::record_done(std::size_t config, const CampaignResult& res
   StoredConfig& sc = store_[config];
   sc.phase = "done";
   sc.result = std::move(r);
-  sc.slots.clear();
-  sc.slot_curves.clear();
-  sc.screen.clear();
-  sc.refine.clear();
-  sc.candidates.clear();
-  sc.finalists.clear();
-  sc.has_candidates = false;
-  sc.has_finalists = false;
+  sc.cells.clear();
+  sc.entrants.reset();
 }
 
 bool CampaignRecorder::block_finished() {
@@ -616,42 +698,16 @@ Json CampaignRecorder::snapshot(bool finished) const {
       e.set("graph", sc.graph_name);
       e.set("n", sc.n);
     }
-    if (!sc.slots.empty()) {
-      Json slots = Json::array();
-      for (const auto& [slot, summary] : sc.slots) {
-        Json s = Json::object();
-        s.set("slot", static_cast<std::uint64_t>(slot));
-        s.set("summary", summary);
-        if (const auto it = sc.slot_curves.find(slot); it != sc.slot_curves.end()) {
-          s.set("curves", it->second);
+    if (const std::optional<PassKind> kind = pass_of_phase(sc.phase)) {
+      const PassKeys& keys = keys_of(*kind);
+      if (sc.entrants) e.set(keys.entrants, ids_to_json(*sc.entrants));
+      if (!sc.cells.empty()) {
+        Json cells = Json::array();
+        for (const auto& [cell, encoded] : sc.cells) {
+          cells.push_back(cell_json(*kind, cell, encoded.first, encoded.second));
         }
-        slots.push_back(std::move(s));
+        e.set(keys.cells, std::move(cells));
       }
-      e.set("slots", std::move(slots));
-    }
-    if (sc.has_candidates) e.set("candidates", ids_to_json(sc.candidates));
-    if (!sc.screen.empty()) {
-      Json screen = Json::array();
-      for (const auto& [key, moments] : sc.screen) {
-        Json s = Json::object();
-        s.set("entrant", static_cast<std::uint64_t>(key.first));
-        s.set("slot", static_cast<std::uint64_t>(key.second));
-        s.set("moments", moments);
-        screen.push_back(std::move(s));
-      }
-      e.set("screen", std::move(screen));
-    }
-    if (sc.has_finalists) e.set("finalists", ids_to_json(sc.finalists));
-    if (!sc.refine.empty()) {
-      Json refine = Json::array();
-      for (const auto& [key, summary] : sc.refine) {
-        Json s = Json::object();
-        s.set("entrant", static_cast<std::uint64_t>(key.first));
-        s.set("slot", static_cast<std::uint64_t>(key.second));
-        s.set("summary", summary);
-        refine.push_back(std::move(s));
-      }
-      e.set("refine", std::move(refine));
     }
     arr.push_back(std::move(e));
   }
@@ -681,7 +737,7 @@ std::uint64_t CampaignRecorder::blocks_done() const {
 
 std::vector<CampaignRecorder::Restored> CampaignRecorder::load(const Json& doc) {
   const std::string ctx = "checkpoint";
-  const SnapshotHeader h = parse_header(doc, ctx);
+  const SnapshotHeader h = read_snapshot_header(doc, ctx);
   check_spec_identity(h, campaign_name_, spec_hash_, ctx);
   if (h.block_size != options_.block_size) {
     fail(ctx, "snapshot used block size " + std::to_string(h.block_size) + ", this run uses " +
@@ -727,114 +783,31 @@ std::vector<CampaignRecorder::Restored> CampaignRecorder::load(const Json& doc) 
       sc.has_graph = true;
     }
 
-    if (phase == "pending") {
-      r.phase = Restored::Phase::kPending;
-    } else if (phase == "trials") {
-      if (race) fail(ectx, "race configuration cannot be in phase 'trials'");
-      r.phase = Restored::Phase::kTrials;
-      // Batch configs pin their slot grid to the lane width, matching the
-      // scheduler (one trial block = one lane batch).
-      const std::size_t slots =
-          slot_count(cfg.trials, effective_block_size(cfg, options_.block_size));
-      for (const Json& s : opt_array(e, "slots", ectx)) {
-        const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ectx));
-        if (slot >= slots) {
-          fail(ectx, "slot " + std::to_string(slot) + " out of range (config has " +
-                         std::to_string(slots) + " blocks)");
-        }
-        if (!sc.slots.emplace(slot, require(s, "summary", ectx)).second) {
-          fail(ectx, "duplicate slot " + std::to_string(slot));
-        }
-        // Curve partials travel with their slot: a curves-enabled config
-        // must have one per recorded slot (and a curve-free config none),
-        // so resume never silently drops telemetry that was computed.
-        const Json* cv = s.find("curves");
-        if (cfg.curves.enabled) {
-          if (cv == nullptr) {
-            fail(ectx, "slot " + std::to_string(slot) +
-                           " has no curve partial but the spec enables curves");
-          }
-          sc.slot_curves[slot] = *cv;
-        } else if (cv != nullptr) {
-          fail(ectx, "slot " + std::to_string(slot) +
-                         " has a curve partial but the spec does not enable curves");
-        }
-      }
-      for (const auto& [slot, summary] : sc.slots) {
-        r.trial_slots.emplace_back(slot, summary_from_json(summary, ectx));
-      }
-      for (const auto& [slot, cv] : sc.slot_curves) {
-        r.curve_slots.emplace_back(slot, curve_state_from_json(cv, cfg.curves.points, ectx),
-                                   totals_from_json(require(cv, "contacts", ectx), ectx));
-      }
-    } else if (phase == "screen") {
-      if (!race) fail(ectx, "fixed-source configuration cannot be in phase 'screen'");
-      r.phase = Restored::Phase::kScreen;
-      r.candidates = ids_from_json(require(e, "candidates", ectx), "candidates", ectx);
-      if (r.candidates.empty()) fail(ectx, "'candidates' must be non-empty");
-      sc.candidates = r.candidates;
-      sc.has_candidates = true;
-      const std::size_t slots = slot_count(cfg.race.screen_trials, options_.block_size);
-      for (const Json& s : opt_array(e, "screen", ectx)) {
-        const auto entrant = static_cast<std::uint32_t>(req_uint(s, "entrant", ectx));
-        const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ectx));
-        if (entrant >= r.candidates.size() || slot >= slots) {
-          fail(ectx, "screen block (entrant " + std::to_string(entrant) + ", slot " +
-                         std::to_string(slot) + ") out of range");
-        }
-        if (!sc.screen.emplace(std::make_pair(entrant, slot), require(s, "moments", ectx))
-                 .second) {
-          fail(ectx, "duplicate screen block (entrant " + std::to_string(entrant) + ", slot " +
-                         std::to_string(slot) + ")");
-        }
-      }
-      for (const auto& [key, moments] : sc.screen) {
-        r.screen_slots.emplace_back(key.first, key.second, moments_from_json(moments, ectx));
-      }
-    } else if (phase == "refine") {
-      if (!race) fail(ectx, "fixed-source configuration cannot be in phase 'refine'");
-      r.phase = Restored::Phase::kRefine;
-      r.finalists = ids_from_json(require(e, "finalists", ectx), "finalists", ectx);
-      if (r.finalists.empty()) fail(ectx, "'finalists' must be non-empty");
-      sc.finalists = r.finalists;
-      sc.has_finalists = true;
-      const std::uint64_t final_trials =
-          cfg.race.final_trials != 0 ? cfg.race.final_trials : cfg.trials;
-      const std::size_t slots = slot_count(final_trials, options_.block_size);
-      for (const Json& s : opt_array(e, "refine", ectx)) {
-        const auto entrant = static_cast<std::uint32_t>(req_uint(s, "entrant", ectx));
-        const std::size_t slot = static_cast<std::size_t>(req_uint(s, "slot", ectx));
-        if (entrant >= r.finalists.size() || slot >= slots) {
-          fail(ectx, "refine block (entrant " + std::to_string(entrant) + ", slot " +
-                         std::to_string(slot) + ") out of range");
-        }
-        if (!sc.refine.emplace(std::make_pair(entrant, slot), require(s, "summary", ectx))
-                 .second) {
-          fail(ectx, "duplicate refine block (entrant " + std::to_string(entrant) + ", slot " +
-                         std::to_string(slot) + ")");
-        }
-      }
-      for (const auto& [key, summary] : sc.refine) {
-        r.refine_slots.emplace_back(key.first, key.second, summary_from_json(summary, ectx));
-      }
-    } else if (phase == "done") {
-      r.phase = Restored::Phase::kDone;
+    if (phase == "pending") continue;
+    if (phase == "done") {
       const Json& result = require(e, "result", ectx);
-      r.graph_name = req_string(result, "graph", ectx);
-      r.n = req_uint(result, "n", ectx);
-      r.source = static_cast<graph::NodeId>(req_uint(result, "source", ectx));
-      r.best_source = static_cast<graph::NodeId>(req_uint(result, "best_source", ectx));
-      r.best_mean = req_number(result, "best_mean", ectx);
-      r.summary = summary_from_json(require(result, "summary", ectx), ectx);
-      if (cfg.curves.enabled) {
-        const Json& cv = require(result, "curves", ectx);
-        r.curves = curve_state_from_json(cv, cfg.curves.points, ectx);
-        r.contacts = totals_from_json(require(cv, "contacts", ectx), ectx);
-      }
+      r.result = read_result(result, cfg, c, h, ectx);
       sc.result = result;
       sc.has_graph = false;  // the result carries the graph identity
-    } else {
-      fail(ectx, "unknown phase '" + phase + "'");
+      continue;
+    }
+    const std::optional<PassKind> kind = pass_of_phase(phase);
+    if (!kind) fail(ectx, "unknown phase '" + phase + "'");
+    if ((*kind == PassKind::kTrials) == race) {
+      fail(ectx, std::string(race ? "race" : "fixed-source") +
+                     " configuration cannot be in phase '" + phase + "'");
+    }
+    r.pass = kind;
+    if (race) {
+      const char* ids = keys_of(*kind).entrants;
+      r.entrants = ids_from_json(require(e, ids, ectx), ids, ectx);
+      if (r.entrants.empty()) fail(ectx, std::string("'") + ids + "' must be non-empty");
+      sc.entrants = r.entrants;
+    }
+    for (auto& [cell, entry] :
+         read_cells(e, cfg, *kind, race ? r.entrants.size() : 1, h, ectx)) {
+      sc.cells.emplace(cell, std::move(entry.encoded));
+      r.cells.emplace(cell, std::move(entry.partial));
     }
   }
 
@@ -854,20 +827,14 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
   const auto k = static_cast<std::uint32_t>(snapshots.size());
 
   std::vector<const Json*> by_shard(k, nullptr);  // 0-based: shard i -> snapshot doc
-  std::uint64_t block_size = 0;
-  std::uint64_t sketch_capacity = 0;
-  std::uint64_t reservoir_capacity = 0;
+  SnapshotHeader first;  // block size and capacities every snapshot must share
   for (std::size_t f = 0; f < snapshots.size(); ++f) {
     const std::string ctx = "merge: snapshot " + std::to_string(f + 1);
-    const SnapshotHeader h = parse_header(snapshots[f], ctx);
+    const SnapshotHeader h = read_snapshot_header(snapshots[f], ctx);
     check_spec_identity(h, campaign_name, spec_hash, ctx);
     if (h.shard_count != k) {
       fail(ctx, "declares " + std::to_string(h.shard_count) + " shards but " + std::to_string(k) +
                     " snapshot files were given");
-    }
-    if (h.shard_index < 1 || h.shard_index > k) {
-      fail(ctx, "shard index " + std::to_string(h.shard_index) + " out of range 1.." +
-                    std::to_string(k));
     }
     if (!h.finished) {
       fail(ctx, "shard " + std::to_string(h.shard_index) +
@@ -878,13 +845,12 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
     }
     by_shard[h.shard_index - 1] = &snapshots[f];
     if (f == 0) {
-      block_size = h.block_size;
-      sketch_capacity = h.sketch_capacity;
-      reservoir_capacity = h.reservoir_capacity;
-    } else if (h.block_size != block_size || h.sketch_capacity != sketch_capacity ||
-               h.reservoir_capacity != reservoir_capacity) {
+      first = h;
+    } else if (h.block_size != first.block_size || h.sketch_capacity != first.sketch_capacity ||
+               h.reservoir_capacity != first.reservoir_capacity) {
       fail(ctx, "block size or capacities disagree with snapshot 1 (block " +
-                    std::to_string(h.block_size) + " vs " + std::to_string(block_size) + ")");
+                    std::to_string(h.block_size) + " vs " + std::to_string(first.block_size) +
+                    ")");
     }
   }
   // k files with k distinct in-range indices fill every slot; any gap has
@@ -906,14 +872,10 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
     const CampaignConfig& cfg = configs[c];
     CampaignResult r = campaign_result_skeleton(cfg, c);
     const std::string ctx = "merge: config '" + r.id + "'";
-    const stats::StreamingSummary::Options summary_options = summary_options_for(
-        cfg, static_cast<std::size_t>(sketch_capacity),
-        static_cast<std::size_t>(reservoir_capacity));
 
     std::uint32_t done_shard = 0;  // 1-based; 0 = none
     const Json* done_result = nullptr;
-    // slot -> (shard, full slot entry: "summary" plus optional "curves")
-    std::map<std::size_t, std::pair<std::uint32_t, const Json*>> slots;
+    std::map<std::size_t, std::pair<std::uint32_t, PassPartial>> slots;  // slot -> (shard, partial)
     std::string graph_name;
     std::uint64_t graph_n = 0;
     std::uint32_t graph_shard = 0;
@@ -954,12 +916,11 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
         fail(ctx, "graph metadata disagrees between shard " + std::to_string(graph_shard) +
                       " and shard " + std::to_string(s + 1));
       }
-      for (const Json& slot_entry : req_array(e, "slots", ctx).elements()) {
-        const std::size_t slot = static_cast<std::size_t>(req_uint(slot_entry, "slot", ctx));
-        (void)require(slot_entry, "summary", ctx);
-        const auto [it, inserted] = slots.emplace(slot, std::make_pair(s + 1, &slot_entry));
+      for (auto& [cell, entry] : read_cells(e, cfg, PassKind::kTrials, 1, first, ctx)) {
+        const auto [it, inserted] =
+            slots.emplace(cell.second, std::make_pair(s + 1, std::move(entry.partial)));
         if (!inserted) {
-          fail(ctx, "slot " + std::to_string(slot) + " recorded by both shard " +
+          fail(ctx, "slot " + std::to_string(cell.second) + " recorded by both shard " +
                         std::to_string(it->second.first) + " and shard " + std::to_string(s + 1));
         }
       }
@@ -970,69 +931,31 @@ std::vector<CampaignResult> merge_campaign_snapshots(const std::vector<CampaignC
         fail(ctx, "shard " + std::to_string(done_shard) + " has the final result but shard " +
                       std::to_string(slots.begin()->second.first) + " also recorded block slots");
       }
-      r.graph_name = req_string(*done_result, "graph", ctx);
-      r.n = req_uint(*done_result, "n", ctx);
-      r.source = static_cast<graph::NodeId>(req_uint(*done_result, "source", ctx));
-      r.best_source = static_cast<graph::NodeId>(req_uint(*done_result, "best_source", ctx));
-      r.best_mean = req_number(*done_result, "best_mean", ctx);
-      r.summary = stats::StreamingSummary::restored(
-          summary_options, summary_from_json(require(*done_result, "summary", ctx), ctx));
-      if (cfg.curves.enabled) {
-        const Json& cv = require(*done_result, "curves", ctx);
-        r.curves = stats::CurveAccumulator::restored(
-            curve_options_for(cfg, static_cast<std::size_t>(sketch_capacity)),
-            curve_state_from_json(cv, cfg.curves.points, ctx));
-        r.contacts = totals_from_json(require(cv, "contacts", ctx), ctx);
-      }
-    } else {
-      if (cfg.source_policy == SourcePolicy::kRace) {
-        fail(ctx, "no shard finished this race configuration (coverage gap)");
-      }
-      const std::size_t expected =
-          slot_count(cfg.trials, effective_block_size(cfg, block_size));
-      for (std::size_t slot = 0; slot < expected; ++slot) {
-        if (slots.find(slot) == slots.end()) {
-          fail(ctx, "missing block slot " + std::to_string(slot) + " of " +
-                        std::to_string(expected) + " (coverage gap — were all " +
-                        std::to_string(k) + " shard files provided?)");
-        }
-      }
-      // Fold in slot order, exactly like the scheduler's last-block fold, so
-      // the merged summary is bit-identical to the unsharded run's.
-      auto it = slots.begin();
-      stats::StreamingSummary total = stats::StreamingSummary::restored(
-          summary_options, summary_from_json(require(*it->second.second, "summary", ctx), ctx));
-      for (++it; it != slots.end(); ++it) {
-        total.merge(stats::StreamingSummary::restored(
-            summary_options, summary_from_json(require(*it->second.second, "summary", ctx), ctx)));
-      }
-      r.summary = std::move(total);
-      if (cfg.curves.enabled) {
-        // Curve partials fold in the same slot order with the same restored
-        // construction options, so merged curves match the unsharded run's
-        // bit for bit.
-        const stats::CurveAccumulator::Options curve_options =
-            curve_options_for(cfg, static_cast<std::size_t>(sketch_capacity));
-        auto restore_slot = [&](const Json& entry) {
-          const Json& cv = require(entry, "curves", ctx);
-          return std::make_pair(
-              stats::CurveAccumulator::restored(
-                  curve_options, curve_state_from_json(cv, cfg.curves.points, ctx)),
-              totals_from_json(require(cv, "contacts", ctx), ctx));
-        };
-        auto cit = slots.begin();
-        auto [curve_total, contact_total] = restore_slot(*cit->second.second);
-        for (++cit; cit != slots.end(); ++cit) {
-          auto [cpart, tpart] = restore_slot(*cit->second.second);
-          curve_total.merge(cpart);
-          contact_total.merge(tpart);
-        }
-        r.curves = std::move(curve_total);
-        r.contacts = contact_total;
-      }
-      r.graph_name = graph_name;
-      r.n = graph_n;
+      results.push_back(read_result(*done_result, cfg, c, first, ctx));
+      continue;
     }
+    if (cfg.source_policy == SourcePolicy::kRace) {
+      fail(ctx, "no shard finished this race configuration (coverage gap)");
+    }
+    const std::size_t expected = pass_slots(cfg, PassKind::kTrials, first.block_size);
+    if (slots.size() != expected) {
+      std::size_t gap = 0;
+      while (slots.count(gap) != 0) ++gap;
+      fail(ctx, "missing block slot " + std::to_string(gap) + " of " + std::to_string(expected) +
+                    " (coverage gap — were all " + std::to_string(k) +
+                    " shard files provided?)");
+    }
+    std::vector<PassPartial> grid;
+    grid.reserve(expected);
+    for (auto& [slot, entry] : slots) grid.push_back(std::move(entry.second));
+    PassPartial total = fold_slots(grid);
+    r.summary = std::move(*total.summary);
+    if (total.curves) {
+      r.curves = std::move(*total.curves);
+      r.contacts = total.contacts;
+    }
+    r.graph_name = graph_name;
+    r.n = graph_n;
     results.push_back(std::move(r));
   }
   return results;

@@ -26,7 +26,8 @@
 // exactly (stats/streaming.hpp state() / restore(), doubles rendered by the
 // exact shortest-round-trip formatter of sim/experiment.cpp), and partials
 // are always folded in slot order, so a resumed or merged fold performs the
-// same merge sequence on bit-identical operands.
+// same merge sequence on bit-identical operands. All three flows share the
+// pass model declared below, with CampaignRecorder.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -70,6 +71,27 @@ inline constexpr int kSnapshotVersion = 1;
 /// The configuration id run_campaign reports: cfg.id, or "cfg<index>" when
 /// the spec left it empty.
 [[nodiscard]] std::string resolved_config_id(const CampaignConfig& cfg, std::size_t index);
+
+/// A snapshot document's header. read_snapshot_header is its one reader —
+/// behind resume, merge and `rumor_bench --resume` (which adopts the
+/// header's block size and shard when the flags are not repeated) — and
+/// rejects, naming the key: a wrong format or version, a non-integer
+/// number, block_size 0, and shard numbers outside
+/// 1 <= shard_index <= shard_count <= 2^32-1.
+struct SnapshotHeader {
+  std::string campaign;
+  std::string spec_hash;
+  std::uint64_t block_size = 0;
+  std::uint64_t sketch_capacity = 0;
+  std::uint64_t reservoir_capacity = 0;
+  std::uint32_t shard_index = 1;
+  std::uint32_t shard_count = 1;
+  bool finished = false;
+  std::uint64_t blocks_done = 0;
+};
+
+/// Throws std::runtime_error prefixed by `ctx` on a malformed header.
+[[nodiscard]] SnapshotHeader read_snapshot_header(const Json& doc, const std::string& ctx);
 
 /// What run_campaign_resumable returns beyond the plain result vector.
 struct CampaignOutcome {
@@ -162,38 +184,81 @@ void report_stale_snapshots(const std::vector<Json>& snapshots,
 int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
                            std::ostream& err);
 
+// --- The pass model (internal) ----------------------------------------------
+//
+// Declared here only so the scheduler (campaign.cpp) and the snapshot codec
+// (checkpoint.cpp) share one definition; not part of the stable API.
+//
+// A configuration's trials run as *passes*. A pass is a grid of (entrant,
+// slot) cells: entrant e measures from source entrants[e], slot s covers
+// that entrant's trials [s * block, (s + 1) * block), and each cell's block
+// leaves one PassPartial. A fixed-source configuration runs one kTrials
+// pass whose one entrant is its source; a race runs a kScreen pass over its
+// candidates, then a kRefine pass over the screen's finalists. The
+// scheduler fills the grid, the recorder encodes each cell as one snapshot
+// entry, resume and merge decode cells with one reader, and every fold (a
+// pass's last block, a resume that re-fires it, a shard merge) goes through
+// fold_slots.
+
+/// Pass kinds, in the order a configuration runs them.
+enum class PassKind : std::uint8_t { kTrials, kScreen, kRefine };
+
+/// Trials per entrant: cfg.trials, the race's screen_trials, or its
+/// final_trials (0 = cfg.trials).
+[[nodiscard]] std::uint64_t pass_trials(const CampaignConfig& cfg, PassKind kind) noexcept;
+
+/// Slots per entrant under the campaign block size (a batch cell's block
+/// is one lane batch, see effective_block_size).
+[[nodiscard]] std::size_t pass_slots(const CampaignConfig& cfg, PassKind kind,
+                                     std::uint64_t block_size) noexcept;
+
+/// One cell's accumulators. kScreen fills `moments`; kTrials and kRefine
+/// fill `summary`, plus `curves` and `contacts` when the configuration
+/// records curves. Unused accumulators stay empty (no allocation).
+struct PassPartial {
+  stats::RunningMoments moments;
+  std::optional<stats::StreamingSummary> summary;
+  std::optional<stats::CurveAccumulator> curves;
+  stats::ContactTotals contacts;
+
+  /// Adds trial `t`'s spreading time to whichever scalar accumulator the
+  /// pass fills.
+  void add(double value, std::uint64_t t) {
+    if (summary) {
+      summary->add(value, t);
+    } else {
+      moments.add(value);
+    }
+  }
+  void merge(const PassPartial& other);
+};
+
+/// An (entrant, slot) cell address.
+using PassCell = std::pair<std::uint32_t, std::size_t>;
+
+/// Folds one entrant's slot partials in slot order, consuming them: the one
+/// reduction behind every pass fold, resume and shard merge, so all of them
+/// agree bit for bit.
+[[nodiscard]] PassPartial fold_slots(std::span<PassPartial> slots);
+
 /// Thread-safe campaign progress store: the machinery behind snapshots.
-/// Internal to run_campaign_resumable — declared here only so the
-/// scheduler (campaign.cpp) and the snapshot codec (checkpoint.cpp) can
-/// share it; not part of the stable API surface.
+/// Internal to run_campaign_resumable, like the pass model. A snapshot
+/// entry mirrors the configuration's current pass: its phase names the pass
+/// ("trials", "screen", "refine"), a race pass lists its entrants
+/// ("candidates", "finalists"), and each recorded cell is one element of
+/// the pass's array ("slots", "screen", "refine") holding the cell's
+/// address and its encoded partial. Partials are encoded outside the store
+/// mutex and kept pre-serialized, so snapshot() is a pure render.
 class CampaignRecorder {
  public:
-  /// One configuration's progress restored from a snapshot, in
-  /// scheduler-neutral form (the scheduler rebuilds its internal state and
-  /// re-enqueues only the missing blocks).
+  /// One configuration's progress restored from a snapshot: nothing yet,
+  /// the pass under way (its entrants and recorded cells), or the final
+  /// result.
   struct Restored {
-    enum class Phase : std::uint8_t { kPending, kTrials, kScreen, kRefine, kDone };
-    Phase phase = Phase::kPending;
-    std::vector<std::pair<std::size_t, stats::StreamingSummary::State>> trial_slots;
-    /// Parallel to trial_slots when the configuration has curves enabled:
-    /// every recorded slot carries its curve partial and contact totals.
-    std::vector<std::tuple<std::size_t, stats::CurveAccumulator::State, stats::ContactTotals>>
-        curve_slots;
-    std::vector<graph::NodeId> candidates;
-    std::vector<std::tuple<std::uint32_t, std::size_t, stats::RunningMoments::State>> screen_slots;
-    std::vector<graph::NodeId> finalists;
-    std::vector<std::tuple<std::uint32_t, std::size_t, stats::StreamingSummary::State>>
-        refine_slots;
-    // Phase::kDone only:
-    std::string graph_name;
-    std::uint64_t n = 0;
-    graph::NodeId source = 0;
-    graph::NodeId best_source = 0;
-    double best_mean = 0.0;
-    stats::StreamingSummary::State summary;
-    /// Phase::kDone with curves enabled only.
-    stats::CurveAccumulator::State curves;
-    stats::ContactTotals contacts;
+    std::optional<PassKind> pass;
+    std::vector<graph::NodeId> entrants;  // race passes: candidates or finalists
+    std::map<PassCell, PassPartial> cells;
+    std::optional<CampaignResult> result;
   };
 
   CampaignRecorder(const std::vector<CampaignConfig>& configs, const CampaignOptions& options,
@@ -205,19 +270,13 @@ class CampaignRecorder {
   /// Throws std::runtime_error naming the first mismatch.
   [[nodiscard]] std::vector<Restored> load(const Json& snapshot);
 
-  // Worker-side recording. All thread-safe; each call serializes the
-  // partial's exact state under the store mutex.
+  // Worker-side recording, all thread-safe.
   void record_graph(std::size_t config, const std::string& graph_name, std::uint64_t n);
-  void record_trial_slot(std::size_t config, std::size_t slot,
-                         const stats::StreamingSummary& partial,
-                         const stats::CurveAccumulator* curves = nullptr,
-                         const stats::ContactTotals* contacts = nullptr);
-  void record_plan(std::size_t config, const std::vector<graph::NodeId>& candidates);
-  void record_screen_slot(std::size_t config, std::uint32_t entrant, std::size_t slot,
-                          const stats::RunningMoments& partial);
-  void record_finalists(std::size_t config, const std::vector<graph::NodeId>& finalists);
-  void record_refine_slot(std::size_t config, std::uint32_t entrant, std::size_t slot,
-                          const stats::StreamingSummary& partial);
+  /// Opens a race pass: called before any of its blocks can run, so no
+  /// snapshot holds a cell without the entrant list it indexes.
+  void record_entrants(std::size_t config, PassKind kind,
+                       const std::vector<graph::NodeId>& entrants);
+  void record_cell(std::size_t config, PassKind kind, PassCell cell, const PassPartial& partial);
   void record_done(std::size_t config, const CampaignResult& result);
 
   /// Called by a worker after each completed block: advances the block
@@ -238,24 +297,15 @@ class CampaignRecorder {
   [[nodiscard]] std::uint64_t blocks_done() const;
 
  private:
-  /// Mirror of one snapshot config entry; values are stored pre-serialized
-  /// (deterministically ordered maps) so snapshot() is a pure render.
+  /// Mirror of one snapshot config entry.
   struct StoredConfig {
     std::string phase = "pending";
     std::string graph_name;
     std::uint64_t n = 0;
     bool has_graph = false;
-    std::map<std::size_t, Json> slots;
-    /// Curve partial per slot (curves-enabled configs only): pre-serialized
-    /// curve state with its contact totals, emitted as the slot entry's
-    /// optional "curves" key.
-    std::map<std::size_t, Json> slot_curves;
-    std::vector<graph::NodeId> candidates;
-    bool has_candidates = false;
-    std::map<std::pair<std::uint32_t, std::size_t>, Json> screen;
-    std::vector<graph::NodeId> finalists;
-    bool has_finalists = false;
-    std::map<std::pair<std::uint32_t, std::size_t>, Json> refine;
+    std::optional<std::vector<graph::NodeId>> entrants;  // race passes
+    /// Per cell: the encoded partial and curve partial (null without curves).
+    std::map<PassCell, std::pair<Json, Json>> cells;
     Json result;  // is_object() once done
   };
 

@@ -1027,18 +1027,17 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       // A resume adopts the checkpoint's own block size and shard
       // assignment unless the flags are repeated explicitly (in which case
       // the loader validates that they match the snapshot).
-      if (!batch_explicit) {
-        if (const Json* v = resume_doc->find("block_size"); v != nullptr && v->is_number()) {
-          campaign_options.block_size = static_cast<std::uint64_t>(v->as_number());
-        }
+      SnapshotHeader header;
+      try {
+        header = read_snapshot_header(*resume_doc, "checkpoint " + resume_file);
+      } catch (const std::exception& e) {
+        err << "rumor_bench: " << e.what() << "\n";
+        return 2;
       }
+      if (!batch_explicit) campaign_options.block_size = header.block_size;
       if (!shard_explicit) {
-        if (const Json* v = resume_doc->find("shard_index"); v != nullptr && v->is_number()) {
-          campaign_options.shard_index = static_cast<std::uint32_t>(v->as_number());
-        }
-        if (const Json* v = resume_doc->find("shard_count"); v != nullptr && v->is_number()) {
-          campaign_options.shard_count = static_cast<std::uint32_t>(v->as_number());
-        }
+        campaign_options.shard_index = header.shard_index;
+        campaign_options.shard_count = header.shard_count;
       }
     }
 

@@ -555,6 +555,43 @@ TEST(BenchCliCheckpoint, FeatureFlagMisuseIsBadInput) {
   std::remove(spec.c_str());
 }
 
+TEST(BenchCliCheckpoint, ResumeRejectsHeaderNumbersOutOfRange) {
+  // --resume adopts the checkpoint's block size and shard when the flags
+  // are not repeated; those numbers are range-checked before use. A shard
+  // count of 2^32 + 2 used to truncate to 2 and resume as shard 1/2.
+  const std::string spec = write_checkpoint_spec("bench_cli_ck_header_spec.json");
+  const std::string ck = testing::TempDir() + "bench_cli_ck_header.json";
+  const std::string bad = testing::TempDir() + "bench_cli_ck_header_bad.json";
+  std::remove(ck.c_str());
+  int status = 0;
+  run_bench("--campaign " + spec + " --json --batch 4 --shard 1/2 --checkpoint " + ck +
+                " --stop-after-blocks 1 >/dev/null 2>/dev/null",
+            &status);
+  ASSERT_EQ(status, 3);
+  const auto snap = sim::Json::parse(read_file(ck));
+  ASSERT_TRUE(snap.has_value());
+
+  auto resume_with = [&](const std::string& key, const sim::Json& value) {
+    sim::Json doc = *snap;
+    doc.set(key, value);
+    {
+      std::ofstream file(bad, std::ios::trunc);
+      file << doc.dump(2) << "\n";
+    }
+    return run_bench("--campaign " + spec + " --json --resume " + bad + " 2>&1 >/dev/null",
+                     &status);
+  };
+  std::string err = resume_with("shard_count", std::uint64_t{4294967298});
+  EXPECT_NE(status, 0) << err;
+  EXPECT_NE(err.find("shard_count"), std::string::npos) << err;
+  for (const double block_size : {-1.0, 2.5, 1e30}) {
+    err = resume_with("block_size", block_size);
+    EXPECT_NE(status, 0) << "block_size " << block_size << ": " << err;
+    EXPECT_NE(err.find("block_size"), std::string::npos) << err;
+  }
+  for (const auto& p : {spec, ck, bad}) std::remove(p.c_str());
+}
+
 // --- Observability: --version, --progress, --trace, --telemetry --------------
 
 TEST(BenchCliObservability, VersionPrintsBuildProvenance) {

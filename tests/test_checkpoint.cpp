@@ -6,10 +6,12 @@
 // rejecting every identity mismatch loudly instead of merging garbage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -600,4 +602,428 @@ TEST(CampaignCheckpoint, FileGraphsFingerprintByContentNotPath) {
   EXPECT_EQ(fingerprint_of(store_a), fingerprint_of(store_a_copy));
   EXPECT_NE(fingerprint_of(store_a), fingerprint_of(store_b));
   for (const fs::path& p : {store_a, store_a_copy, store_b}) fs::remove(p);
+}
+
+// --- Per-entry validation of snapshot documents ------------------------------
+
+namespace {
+
+/// `snap` with its configs[c] entry rewritten by `edit`.
+template <typename Edit>
+sim::Json edit_entry(const sim::Json& snap, std::size_t c, Edit&& edit) {
+  sim::Json configs = sim::Json::array();
+  const auto& entries = snap.find("configs")->elements();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    sim::Json e = entries[i];
+    if (i == c) edit(e);
+    configs.push_back(std::move(e));
+  }
+  sim::Json doc = snap;
+  doc.set("configs", std::move(configs));
+  return doc;
+}
+
+/// Array `arr` with element i rewritten by `edit`.
+template <typename Edit>
+sim::Json edit_element(const sim::Json& arr, std::size_t i, Edit&& edit) {
+  sim::Json out = sim::Json::array();
+  for (std::size_t k = 0; k < arr.elements().size(); ++k) {
+    sim::Json e = arr.elements()[k];
+    if (k == i) edit(e);
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+/// Object `obj` without `key`.
+sim::Json without_key(sim::Json obj, const std::string& key) {
+  auto& entries = obj.mutable_entries();
+  std::erase_if(entries, [&](const auto& kv) { return kv.first == key; });
+  return obj;
+}
+
+std::size_t entry_index(const sim::Json& snap, const std::string& id) {
+  const auto& entries = snap.find("configs")->elements();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].find("id")->as_string() == id) return i;
+  }
+  ADD_FAILURE() << "no config '" << id << "' in the snapshot";
+  return 0;
+}
+
+/// The first single-threaded stop that leaves config `id` in `phase` with
+/// a non-empty `cells` array (the recorded blocks of that phase).
+sim::Json first_stop_in(const std::vector<sim::CampaignConfig>& configs, const std::string& id,
+                        const std::string& phase, const std::string& cells) {
+  for (std::uint64_t k = 1; k < 200; ++k) {
+    auto options = snapshot_options(1);
+    options.stop_after_blocks = k;
+    const auto stopped = sim::run_campaign_resumable(configs, options, "snap");
+    if (stopped.complete) break;
+    const sim::Json& e = stopped.snapshot.find("configs")->elements()[entry_index(
+        stopped.snapshot, id)];
+    if (e.find("phase")->as_string() == phase && e.find(cells) != nullptr) {
+      return stopped.snapshot;
+    }
+  }
+  ADD_FAILURE() << "no stop leaves '" << id << "' in phase " << phase << " with " << cells;
+  return {};
+}
+
+void expect_resume_rejects(const std::vector<sim::CampaignConfig>& configs, const sim::Json& doc,
+                           const std::string& needle) {
+  expect_throws_with(
+      [&] { (void)sim::run_campaign_resumable(configs, snapshot_options(1), "snap", &doc); },
+      needle);
+}
+
+}  // namespace
+
+TEST(CampaignCheckpoint, LoadRejectsEveryMalformedTrialsEntry) {
+  const auto configs = snapshot_configs();
+  const sim::Json snap = first_stop_in(configs, "plain_hc", "trials", "slots");
+  ASSERT_TRUE(snap.is_object());
+  const std::size_t c = entry_index(snap, "plain_hc");
+
+  expect_resume_rejects(configs, edit_entry(snap, c, [](sim::Json& e) { e.set("phase", "bogus"); }),
+                        "unknown phase 'bogus'");
+  for (const char* phase : {"screen", "refine"}) {
+    expect_resume_rejects(configs, edit_entry(snap, c, [&](sim::Json& e) { e.set("phase", phase); }),
+                          std::string("fixed-source configuration cannot be in phase '") + phase +
+                              "'");
+  }
+  expect_resume_rejects(configs, edit_entry(snap, c, [](sim::Json& e) {
+                          e.set("slots", edit_element(*e.find("slots"), 0,
+                                                      [](sim::Json& s) { s.set("slot", 3); }));
+                        }),
+                        "slot 3 out of range (config has 3 blocks)");
+  expect_resume_rejects(configs, edit_entry(snap, c, [](sim::Json& e) {
+                          sim::Json slots = *e.find("slots");
+                          slots.push_back(slots.elements()[0]);
+                          e.set("slots", std::move(slots));
+                        }),
+                        "duplicate slot 0");
+  // A race never records trial blocks.
+  const sim::Json race_snap = first_stop_in(configs, "race_star", "screen", "screen");
+  ASSERT_TRUE(race_snap.is_object());
+  expect_resume_rejects(configs,
+                        edit_entry(race_snap, entry_index(race_snap, "race_star"),
+                                   [](sim::Json& e) { e.set("phase", "trials"); }),
+                        "race configuration cannot be in phase 'trials'");
+}
+
+TEST(CampaignCheckpoint, LoadRejectsEveryMalformedRaceEntry) {
+  const auto configs = snapshot_configs();
+  struct Pass {
+    const char* phase;
+    const char* ids;
+  };
+  for (const Pass pass : {Pass{"screen", "candidates"}, Pass{"refine", "finalists"}}) {
+    SCOPED_TRACE(pass.phase);
+    const sim::Json snap = first_stop_in(configs, "race_star", pass.phase, pass.phase);
+    ASSERT_TRUE(snap.is_object());
+    const std::size_t c = entry_index(snap, "race_star");
+    const std::string block = std::string(pass.phase) + " block (entrant ";
+
+    expect_resume_rejects(configs, edit_entry(snap, c, [&](sim::Json& e) {
+                            e.set(pass.phase, edit_element(*e.find(pass.phase), 0,
+                                                           [](sim::Json& s) { s.set("entrant", 9); }));
+                          }),
+                          block + "9, slot 0) out of range");
+    expect_resume_rejects(configs, edit_entry(snap, c, [&](sim::Json& e) {
+                            e.set(pass.phase, edit_element(*e.find(pass.phase), 0,
+                                                           [](sim::Json& s) { s.set("slot", 7); }));
+                          }),
+                          block + "0, slot 7) out of range");
+    expect_resume_rejects(configs, edit_entry(snap, c, [&](sim::Json& e) {
+                            sim::Json cells = *e.find(pass.phase);
+                            cells.push_back(cells.elements()[0]);
+                            e.set(pass.phase, std::move(cells));
+                          }),
+                          "duplicate " + block + "0, slot 0)");
+    expect_resume_rejects(
+        configs, edit_entry(snap, c, [&](sim::Json& e) { e.set(pass.ids, sim::Json::array()); }),
+        std::string("'") + pass.ids + "' must be non-empty");
+  }
+}
+
+TEST(CampaignCheckpoint, LoadRejectsCurvePartialsThatDisagreeWithTheSpec) {
+  // Curve partials travel with their slot: present exactly when the spec
+  // enables curves, so a resume never drops telemetry that was computed.
+  const auto curved = curve_snapshot_configs();
+  const sim::Json snap = first_stop_in(curved, "curves_hc_sync", "trials", "slots");
+  ASSERT_TRUE(snap.is_object());
+  expect_resume_rejects(curved, edit_entry(snap, entry_index(snap, "curves_hc_sync"), [](sim::Json& e) {
+                          e.set("slots", edit_element(*e.find("slots"), 0, [](sim::Json& s) {
+                                  s = without_key(s, "curves");
+                                }));
+                        }),
+                        "has no curve partial but the spec enables curves");
+
+  const auto plain = snapshot_configs();
+  const sim::Json plain_snap = first_stop_in(plain, "plain_hc", "trials", "slots");
+  ASSERT_TRUE(plain_snap.is_object());
+  const sim::Json curve_partial =
+      *snap.find("configs")->elements()[0].find("slots")->elements()[0].find("curves");
+  expect_resume_rejects(plain,
+                        edit_entry(plain_snap, entry_index(plain_snap, "plain_hc"), [&](sim::Json& e) {
+                          e.set("slots", edit_element(*e.find("slots"), 0, [&](sim::Json& s) {
+                                  s.set("curves", curve_partial);
+                                }));
+                        }),
+                        "has a curve partial but the spec does not enable curves");
+}
+
+TEST(CampaignShard, MergeRejectsRacesLeftMidRaceOrSplitIntoBlocks) {
+  const auto configs = snapshot_configs();
+  std::vector<sim::Json> snapshots;
+  for (std::uint32_t i = 1; i <= 2; ++i) {
+    auto options = snapshot_options(2);
+    options.shard_index = i;
+    options.shard_count = 2;
+    const auto outcome = sim::run_campaign_resumable(configs, options, "snap");
+    ASSERT_TRUE(outcome.complete);
+    snapshots.push_back(outcome.snapshot);
+  }
+  const std::size_t race = entry_index(snapshots[0], "race_star");
+  const std::size_t owner =
+      snapshots[0].find("configs")->elements()[race].find("phase")->as_string() == "done" ? 0 : 1;
+  const sim::Json screen_entry =
+      first_stop_in(configs, "race_star", "screen", "screen").find("configs")->elements()[race];
+
+  auto bad = snapshots;
+  bad[owner] = edit_entry(snapshots[owner], race, [&](sim::Json& e) { e = screen_entry; });
+  expect_throws_with([&] { (void)sim::merge_campaign_snapshots(configs, "snap", bad); },
+                     "left this config mid-race (phase 'screen')");
+
+  // A race is owned wholesale: trial blocks recorded for it are refused.
+  const sim::Json trials_entry =
+      first_stop_in(configs, "plain_hc", "trials", "slots").find("configs")->elements()[0];
+  bad[owner] = edit_entry(snapshots[owner], race, [&](sim::Json& e) {
+    e = trials_entry;
+    e.set("id", "race_star");
+  });
+  expect_throws_with([&] { (void)sim::merge_campaign_snapshots(configs, "snap", bad); },
+                     "race configuration has trial blocks in shard");
+}
+
+// --- Resume validation of restored node ids and header numbers ---------------
+
+TEST(CampaignCheckpoint, ResumeRejectsRestoredEntrantsOutsideTheGraph) {
+  // Candidates and finalists come from the document, not from the graph;
+  // a node id past n must be refused before any engine indexes with it.
+  const auto configs = snapshot_configs();
+  struct Pass {
+    const char* phase;
+    const char* ids;
+  };
+  for (const Pass pass : {Pass{"screen", "candidates"}, Pass{"refine", "finalists"}}) {
+    SCOPED_TRACE(pass.phase);
+    const sim::Json snap = first_stop_in(configs, "race_star", pass.phase, pass.phase);
+    ASSERT_TRUE(snap.is_object());
+    const sim::Json bad = edit_entry(snap, entry_index(snap, "race_star"), [&](sim::Json& e) {
+      sim::Json ids = *e.find(pass.ids);
+      ids = edit_element(ids, ids.size() - 1, [](sim::Json& v) { v = std::uint64_t{4000000000}; });
+      e.set(pass.ids, std::move(ids));
+    });
+    for (const char* needle : {"checkpoint", "race_star", "4000000000"}) {
+      expect_resume_rejects(configs, bad, needle);
+    }
+  }
+}
+
+TEST(CampaignCheckpoint, HeaderRejectsShardNumbersBeyond32Bits) {
+  // 4294967298 used to truncate to 2, so a doctored 1/4294967298 header
+  // passed for shard 1/2.
+  const auto configs = snapshot_configs();
+  auto options = snapshot_options(1);
+  options.shard_index = 1;
+  options.shard_count = 2;
+  options.stop_after_blocks = 1;
+  const auto stopped = sim::run_campaign_resumable(configs, options, "snap");
+  ASSERT_FALSE(stopped.complete);
+  options.stop_after_blocks = 0;
+
+  sim::Json bad = stopped.snapshot;
+  bad.set("shard_count", std::uint64_t{4294967298});
+  expect_throws_with(
+      [&] { (void)sim::run_campaign_resumable(configs, options, "snap", &bad); }, "shard_count");
+  bad = stopped.snapshot;
+  bad.set("shard_index", std::uint64_t{4294967297});
+  expect_throws_with(
+      [&] { (void)sim::run_campaign_resumable(configs, options, "snap", &bad); }, "shard_index");
+  bad = stopped.snapshot;
+  bad.set("shard_index", 3);
+  expect_throws_with(
+      [&] { (void)sim::run_campaign_resumable(configs, options, "snap", &bad); }, "shard_index");
+  bad = stopped.snapshot;
+  bad.set("shard_count", 0);
+  expect_throws_with([&] { (void)sim::merge_campaign_snapshots(configs, "snap", {bad}); },
+                     "shard_count");
+}
+
+// --- Every resume point ------------------------------------------------------
+
+namespace {
+
+/// One of each pass shape: a plain cell, a curves cell, an 8-lane batch
+/// cell, a race (screen + refine over 2 finalists) and a churn cell.
+std::vector<sim::CampaignConfig> mixed_configs() {
+  static const auto kHypercube = shared(graph::hypercube(5));
+  static const auto kStar = shared(graph::star(48));
+  std::vector<sim::CampaignConfig> configs;
+
+  sim::CampaignConfig plain;
+  plain.id = "plain";
+  plain.prebuilt = kHypercube;
+  plain.trials = 12;
+  plain.seed = 701;
+  configs.push_back(plain);
+
+  sim::CampaignConfig curves;
+  curves.id = "curves";
+  curves.prebuilt = kStar;
+  curves.engine = sim::EngineKind::kAsync;
+  curves.trials = 8;
+  curves.seed = 702;
+  curves.curves.enabled = true;
+  curves.curves.points = 16;
+  curves.curves.time_bucket = 0.5;
+  configs.push_back(curves);
+
+  sim::CampaignConfig batch;
+  batch.id = "batch";
+  batch.prebuilt = kHypercube;
+  batch.engine = sim::EngineKind::kBatchSync;
+  batch.lanes = 8;
+  batch.trials = 20;
+  batch.seed = 703;
+  configs.push_back(batch);
+
+  sim::CampaignConfig race;
+  race.id = "race";
+  race.prebuilt = kStar;
+  race.source_policy = sim::SourcePolicy::kRace;
+  race.race.screen_trials = 4;
+  race.race.finalists = 2;
+  race.race.max_candidates = 4;
+  race.trials = 8;
+  race.seed = 704;
+  configs.push_back(race);
+
+  sim::CampaignConfig churn;
+  churn.id = "churn";
+  churn.prebuilt = kHypercube;
+  churn.dynamics.churn.model = dynamics::ChurnModel::kMarkov;
+  churn.dynamics.churn.birth = 0.1;
+  churn.dynamics.churn.death = 0.1;
+  churn.trials = 8;
+  churn.seed = 705;
+  configs.push_back(churn);
+  return configs;
+}
+
+sim::CampaignOptions mixed_options(std::uint64_t stop_after) {
+  sim::CampaignOptions options;
+  options.threads = 1;
+  options.block_size = 4;
+  options.stop_after_blocks = stop_after;
+  return options;
+}
+
+std::string without_written_at(sim::Json snapshot) {
+  return without_key(std::move(snapshot), "written_at").dump(2);
+}
+
+void expect_same_results(const std::vector<sim::CampaignResult>& got,
+                         const std::vector<sim::CampaignResult>& want) {
+  expect_bitwise_equal(got, want);
+  for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
+    EXPECT_EQ(got[i].has_curves, want[i].has_curves) << want[i].id;
+    if (want[i].has_curves) {
+      EXPECT_EQ(curve_stats(got[i]), curve_stats(want[i])) << want[i].id;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(CampaignCheckpoint, EveryStopPointResumesBitIdentically) {
+  const auto configs = mixed_configs();
+  const auto unbroken = sim::run_campaign_resumable(configs, mixed_options(0), "mix");
+  ASSERT_TRUE(unbroken.complete);
+  expect_same_results(unbroken.results, sim::run_campaign(configs, mixed_options(0)));
+  const std::uint64_t total = unbroken.blocks_done;
+  ASSERT_EQ(total, 3u + 2u + 3u + (1u + 4u + 4u) + 2u);
+
+  std::vector<sim::Json> stops(total);  // stops[k]: the direct stop after k blocks
+  for (std::uint64_t k = 1; k < total; ++k) {
+    const auto stopped = sim::run_campaign_resumable(configs, mixed_options(k), "mix");
+    ASSERT_FALSE(stopped.complete) << "k=" << k;
+    ASSERT_EQ(stopped.blocks_done, k);
+    stops[k] = stopped.snapshot;
+    const auto resumed = sim::run_campaign_resumable(configs, mixed_options(0), "mix", &stops[k]);
+    ASSERT_TRUE(resumed.complete) << "k=" << k;
+    SCOPED_TRACE("resumed from k=" + std::to_string(k));
+    expect_same_results(resumed.results, unbroken.results);
+  }
+  // Stopping at j, resuming and stopping again at k leaves exactly the
+  // snapshot of a direct stop at k: a resume re-enqueues the missing blocks
+  // in the order the unbroken run would have reached them.
+  for (std::uint64_t j = 1; j < total; ++j) {
+    for (std::uint64_t k = j + 1; k < total; ++k) {
+      const auto again =
+          sim::run_campaign_resumable(configs, mixed_options(k - j), "mix", &stops[j]);
+      ASSERT_FALSE(again.complete);
+      EXPECT_EQ(without_written_at(again.snapshot), without_written_at(stops[k]))
+          << "stop at " << j << ", resume, stop at " << k;
+    }
+  }
+}
+
+TEST(CampaignCheckpoint, ResumeRefiresAFoldWhoseBlocksAreAllRestored) {
+  // A periodic write can land after a pass's last block is recorded but
+  // before its fold publishes the result. Build that state by splicing a
+  // split config's slots from two shard snapshots into one 1/1 entry: the
+  // resume must re-run one restored block to fire the fold.
+  const auto configs = snapshot_configs();
+  const auto baseline = sim::run_campaign(configs, snapshot_options(1));
+  std::vector<sim::Json> shards;
+  for (std::uint32_t i = 1; i <= 2; ++i) {
+    auto options = snapshot_options(1);
+    options.shard_index = i;
+    options.shard_count = 2;
+    const auto outcome = sim::run_campaign_resumable(configs, options, "snap");
+    ASSERT_TRUE(outcome.complete);
+    shards.push_back(outcome.snapshot);
+  }
+  std::size_t split = configs.size();
+  for (std::size_t c = 0; c < configs.size() && split == configs.size(); ++c) {
+    const bool in_both = shards[0].find("configs")->elements()[c].find("phase")->as_string() ==
+                             "trials" &&
+                         shards[1].find("configs")->elements()[c].find("phase")->as_string() ==
+                             "trials";
+    if (in_both) split = c;
+  }
+  ASSERT_LT(split, configs.size()) << "no config is split across the two shards";
+
+  std::map<double, sim::Json> by_slot;
+  for (const sim::Json& shard : shards) {
+    for (const sim::Json& s : shard.find("configs")->elements()[split].find("slots")->elements()) {
+      by_slot.emplace(s.find("slot")->as_number(), s);
+    }
+  }
+  sim::Json doc = edit_entry(shards[0], split, [&](sim::Json& e) {
+    sim::Json slots = sim::Json::array();
+    for (const auto& [slot, entry] : by_slot) slots.push_back(entry);
+    e.set("slots", std::move(slots));
+  });
+  doc.set("shard_count", 1);
+  doc.set("finished", false);
+
+  const auto resumed = sim::run_campaign_resumable(configs, snapshot_options(1), "snap", &doc);
+  ASSERT_TRUE(resumed.complete);
+  expect_bitwise_equal(resumed.results, baseline);
+  EXPECT_EQ(resumed.snapshot.find("configs")->elements()[split].find("phase")->as_string(),
+            "done");
 }
