@@ -12,8 +12,11 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "core/quasirandom.hpp"
 #include "core/trajectory.hpp"
@@ -953,65 +956,317 @@ CampaignOutcome run_campaign_resumable(const std::vector<CampaignConfig>& config
 }
 
 // --- Spec parsing ------------------------------------------------------------
+//
+// Every spec key is one row of kSpecKeys: the blocks it may appear in, the
+// CampaignConfig field it sets (whose type decides how the value is read),
+// the value's range, and the block an object value is walked as.
+// walk_block rejects a key without a row in its block and applies the rest;
+// bench/README.md's "Spec keys" table lists the same rows.
 
 namespace {
 
-/// Returns the key's number if present; `fallback` when absent. Records an
-/// error when the key exists with a non-numeric value.
-double number_or(const Json& obj, const std::string& key, double fallback, std::string& error) {
-  const Json* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number()) {
-    error = "key '" + key + "' must be a number";
-    return fallback;
+/// Where a key may appear (a bit set): a `configs` entry, `defaults`, or
+/// one of the nested objects named after the rows that hold them.
+enum Scope : unsigned {
+  kEntry = 1u << 0,
+  kDefaults = 1u << 1,
+  kRace = 1u << 2,
+  kGraph = 1u << 3,
+  kDynamics = 1u << 4,
+  kCurves = 1u << 5,
+  kEngine = 1u << 6,
+  kShared = kEntry | kDefaults,
+};
+
+using Cfg = CampaignConfig;
+template <class T>
+using FieldRef = T& (*)(Cfg&);
+
+/// The field a row sets; its type decides how a value is read. Block rows
+/// set none, except `curves`, whose presence sets `curves.enabled`.
+using Field =
+    std::variant<std::monostate, FieldRef<std::uint64_t>, FieldRef<std::uint32_t>,
+                 FieldRef<double>, FieldRef<std::string>, FieldRef<bool>, FieldRef<EngineKind>,
+                 FieldRef<core::Mode>, FieldRef<core::AsyncView>, FieldRef<core::AuxKind>,
+                 FieldRef<SourcePolicy>, FieldRef<dynamics::ChurnModel>,
+                 FieldRef<dynamics::WeightModel>>;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Spec numbers are IEEE doubles, exact for integers up to 2^53: the cap
+/// rumor_bench puts on its numeric flags too.
+constexpr double kMaxExactInt = 9007199254740992.0;
+
+struct Range {
+  double lo = 0.0;
+  double hi = kInf;
+  bool lo_open = false;
+  bool hi_open = false;
+};
+
+struct KeyRow {
+  std::string_view key;
+  unsigned blocks;
+  Field field;
+  /// Integers: [lo, min(hi, the field's max, 2^53)]. Numbers: as given.
+  Range range{};
+  /// An object value is walked as this block (0: no object form).
+  unsigned nested = 0;
+  /// Entries only: a scalar or an array, expanded by the cross product.
+  bool axis = false;
+  /// Missing is an error; a string value must be non-empty.
+  bool required = false;
+  /// The expected value, when the type and range do not say it.
+  std::string_view what = {};
+};
+
+constexpr Range kAtLeastOne{1.0};
+constexpr Range kUnit{0.0, 1.0};
+constexpr Range kBelowOne{0.0, 1.0, false, true};
+constexpr Range kPositive{0.0, kInf, true};
+
+// Rows apply in table order, so the `race` block comes before the flat race
+// keys (a flat key wins on conflict) and the `graph` object after the flat
+// generator parameters (the object wins).
+constexpr KeyRow kSpecKeys[] = {
+    {"id", kEntry, [](Cfg& c) -> auto& { return c.id; }},
+    {.key = "n", .blocks = kEntry, .field = [](Cfg& c) -> auto& { return c.graph.n; },
+     .range = {2.0, 4294967295.0}, .axis = true},
+    {.key = "engine", .blocks = kShared, .field = [](Cfg& c) -> auto& { return c.engine; },
+     .nested = kEngine, .axis = true},
+    {.key = "mode", .blocks = kShared, .field = [](Cfg& c) -> auto& { return c.mode; },
+     .axis = true},
+    {"view", kShared, [](Cfg& c) -> auto& { return c.view; }},
+    {"aux", kShared, [](Cfg& c) -> auto& { return c.aux; }},
+    {.key = "source", .blocks = kShared, .field = [](Cfg& c) -> auto& { return c.source_policy; },
+     .what = "a node id in [0, 4294967295], \"fixed\" or \"race\""},
+    {"trials", kShared, [](Cfg& c) -> auto& { return c.trials; }},
+    {"seed", kShared, [](Cfg& c) -> auto& { return c.seed; }},
+    {"hp_q", kShared, [](Cfg& c) -> auto& { return c.hp_q; }, kBelowOne},
+    {"reservoir_capacity", kShared, [](Cfg& c) -> auto& { return c.reservoir_capacity; }},
+    {"message_loss", kShared, [](Cfg& c) -> auto& { return c.message_loss; }, kBelowOne},
+    {.key = "race", .blocks = kShared, .nested = kRace},
+    {"screen_trials", kShared | kRace, [](Cfg& c) -> auto& { return c.race.screen_trials; },
+     kAtLeastOne},
+    {"finalists", kShared | kRace, [](Cfg& c) -> auto& { return c.race.finalists; }, kAtLeastOne},
+    {"final_trials", kShared | kRace, [](Cfg& c) -> auto& { return c.race.final_trials; }},
+    {"max_candidates", kShared | kRace, [](Cfg& c) -> auto& { return c.race.max_candidates; }},
+    {"p", kShared | kGraph, [](Cfg& c) -> auto& { return c.graph.p; }, kUnit},
+    {"degree", kShared | kGraph, [](Cfg& c) -> auto& { return c.graph.degree; }},
+    {"beta", kShared | kGraph, [](Cfg& c) -> auto& { return c.graph.beta; }, kPositive},
+    {"average_degree", kShared | kGraph, [](Cfg& c) -> auto& { return c.graph.average_degree; },
+     kPositive},
+    {"graph_seed", kShared | kGraph, [](Cfg& c) -> auto& { return c.graph.graph_seed; }},
+    {.key = "graph", .blocks = kEntry, .field = [](Cfg& c) -> auto& { return c.graph.family; },
+     .nested = kGraph, .required = true, .what = "a family name or an object with 'kind'"},
+    {.key = "kind", .blocks = kGraph, .field = [](Cfg& c) -> auto& { return c.graph.family; },
+     .required = true},
+    {"path", kGraph, [](Cfg& c) -> auto& { return c.graph.path; }},
+    {.key = "kind", .blocks = kEngine, .field = [](Cfg& c) -> auto& { return c.engine; },
+     .required = true},
+    {"lanes", kEngine, [](Cfg& c) -> auto& { return c.lanes; }, {1.0, core::kMaxBatchLanes}},
+    {.key = "dynamics", .blocks = kShared, .nested = kDynamics},
+    {"churn", kDynamics, [](Cfg& c) -> auto& { return c.dynamics.churn.model; }},
+    {"birth", kDynamics, [](Cfg& c) -> auto& { return c.dynamics.churn.birth; }, kUnit},
+    {"death", kDynamics, [](Cfg& c) -> auto& { return c.dynamics.churn.death; }, kUnit},
+    {"rewire_p", kDynamics, [](Cfg& c) -> auto& { return c.dynamics.churn.rewire; }, kUnit},
+    {"period", kDynamics, [](Cfg& c) -> auto& { return c.dynamics.churn.period; }, kAtLeastOne},
+    {"weights", kDynamics, [](Cfg& c) -> auto& { return c.dynamics.weights.model; }},
+    {"weight_alpha", kDynamics, [](Cfg& c) -> auto& { return c.dynamics.weights.alpha; },
+     kPositive},
+    {"dynamics_seed", kDynamics, [](Cfg& c) -> auto& { return c.dynamics.seed; }},
+    {.key = "curves", .blocks = kShared, .field = [](Cfg& c) -> auto& { return c.curves.enabled; },
+     .nested = kCurves},
+    {"points", kCurves, [](Cfg& c) -> auto& { return c.curves.points; }, kAtLeastOne},
+    {"time_bucket", kCurves, [](Cfg& c) -> auto& { return c.curves.time_bucket; }, kPositive},
+};
+
+const KeyRow* find_row(std::string_view key, unsigned blocks) {
+  for (const KeyRow& row : kSpecKeys) {
+    if (row.key == key && (row.blocks & blocks) != 0) return &row;
   }
-  return v->as_number();
+  return nullptr;
 }
 
-/// Non-negative integer variant: rejects negatives and fractions before the
-/// value reaches an unsigned cast (where a negative double would be UB).
-std::uint64_t uint_or(const Json& obj, const std::string& key, std::uint64_t fallback,
-                      std::string& error) {
-  const double v = number_or(obj, key, static_cast<double>(fallback), error);
-  if (v < 0.0 || v != std::floor(v)) {
-    error = "key '" + key + "' must be a non-negative integer";
-    return fallback;
+const char* value_name(EngineKind e) { return engine_name(e); }
+const char* value_name(core::Mode m) { return core::mode_name(m); }
+const char* value_name(core::AsyncView v) { return core::async_view_name(v); }
+const char* value_name(core::AuxKind a) { return core::aux_kind_name(a); }
+const char* value_name(SourcePolicy p) { return source_policy_name(p); }
+const char* value_name(dynamics::ChurnModel m) { return dynamics::churn_model_name(m); }
+const char* value_name(dynamics::WeightModel m) { return dynamics::weight_model_name(m); }
+
+/// Sets `field` to the enum value named `v`. Every name function answers
+/// "?" past its enum's last value.
+template <class E>
+bool read_name(const Json& v, E& field) {
+  if (!v.is_string()) return false;
+  for (unsigned i = 0; std::string_view(value_name(static_cast<E>(i))) != "?"; ++i) {
+    if (v.as_string() == value_name(static_cast<E>(i))) {
+      field = static_cast<E>(i);
+      return true;
+    }
   }
-  return static_cast<std::uint64_t>(v);
+  return false;
 }
 
-std::string string_or(const Json& obj, const std::string& key, const std::string& fallback,
-                      std::string& error) {
-  const Json* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_string()) {
-    error = "key '" + key + "' must be a string";
-    return fallback;
-  }
-  return v->as_string();
+template <class T>
+double int_max(const Range& range) {
+  return std::min({range.hi, static_cast<double>(std::numeric_limits<T>::max()), kMaxExactInt});
 }
 
-bool parse_engine(const std::string& s, EngineKind& out) {
-  if (s == "sync") out = EngineKind::kSync;
-  else if (s == "async") out = EngineKind::kAsync;
-  else if (s == "aux") out = EngineKind::kAux;
-  else if (s == "quasirandom") out = EngineKind::kQuasirandom;
-  else if (s == "batch_sync") out = EngineKind::kBatchSync;
-  else return false;
+template <class T>
+bool read_int(const Json& v, const Range& range, T& field) {
+  if (!v.is_number()) return false;
+  const double x = v.as_number();
+  if (x != std::floor(x) || x < range.lo || x > int_max<T>(range)) return false;
+  field = static_cast<T>(x);
   return true;
 }
 
-bool parse_mode(const std::string& s, core::Mode& out) {
-  if (s == "push") out = core::Mode::kPush;
-  else if (s == "pull") out = core::Mode::kPull;
-  else if (s == "push-pull") out = core::Mode::kPushPull;
-  else return false;
-  return true;
+/// Reads a scalar value into the row's field; false on a wrong type or an
+/// out-of-range value.
+bool read_value(const KeyRow& row, const Json& v, Cfg& cfg) {
+  return std::visit(
+      [&](auto ref) {
+        if constexpr (std::is_same_v<decltype(ref), std::monostate>) {
+          return false;  // a block row without an object
+        } else {
+          auto& field = ref(cfg);
+          using T = std::remove_reference_t<decltype(field)>;
+          if constexpr (std::is_same_v<T, bool>) {
+            return false;
+          } else if constexpr (std::is_same_v<T, double>) {
+            const Range& r = row.range;
+            if (!v.is_number()) return false;
+            const double x = v.as_number();
+            if (r.lo_open ? x <= r.lo : x < r.lo) return false;
+            if (r.hi_open ? x >= r.hi : x > r.hi) return false;
+            field = x;
+            return true;
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            if (!v.is_string() || (row.required && v.as_string().empty())) return false;
+            field = v.as_string();
+            return true;
+          } else if constexpr (std::is_same_v<T, SourcePolicy>) {
+            // A node id measures from that node under the fixed policy.
+            if (!v.is_number()) return read_name(v, field);
+            if (!read_int(v, row.range, cfg.source)) return false;
+            field = SourcePolicy::kFixed;
+            return true;
+          } else if constexpr (std::is_enum_v<T>) {
+            return read_name(v, field);
+          } else {
+            return read_int(v, row.range, field);
+          }
+        }
+      },
+      row.field);
 }
 
-/// Collects a scalar-or-array key as a vector of Json scalars (one-element
-/// vector for scalars; `fallback` when the key is absent).
-std::vector<const Json*> scalar_or_array(const Json& obj, const std::string& key) {
+std::string bound_text(double x) {
+  return x == kMaxExactInt ? "2^53" : std::to_string(static_cast<std::uint64_t>(x));
+}
+
+/// What a row accepts, for its error message.
+std::string expected(const KeyRow& row) {
+  if (!row.what.empty()) return std::string(row.what);
+  std::string text = std::visit(
+      [&](auto ref) -> std::string {
+        using Ref = decltype(ref);
+        if constexpr (std::is_same_v<Ref, std::monostate> || std::is_same_v<Ref, FieldRef<bool>>) {
+          return "";
+        } else {
+          using T = std::remove_reference_t<std::invoke_result_t<Ref, Cfg&>>;
+          const Range& r = row.range;
+          if constexpr (std::is_same_v<T, double>) {
+            if (r.hi == kInf) return std::string("a number ") + (r.lo_open ? ">" : ">=") + " " +
+                                     bound_text(r.lo);
+            return "a number in " + std::string(r.lo_open ? "(" : "[") + bound_text(r.lo) +
+                   ", " + bound_text(r.hi) + (r.hi_open ? ")" : "]");
+          } else if constexpr (std::is_same_v<T, std::string>) {
+            return row.required ? "a non-empty string" : "a string";
+          } else if constexpr (std::is_enum_v<T>) {
+            std::string names = "one of";
+            for (unsigned i = 0; std::string_view(value_name(static_cast<T>(i))) != "?"; ++i) {
+              names += std::string(i == 0 ? " " : ", ") + value_name(static_cast<T>(i));
+            }
+            return names;
+          } else {
+            return "an integer in [" + bound_text(r.lo) + ", " + bound_text(int_max<T>(r)) + "]";
+          }
+        }
+      },
+      row.field);
+  if (row.nested == 0) return text;
+  return text.empty() ? "an object" : text + " or an object";
+}
+
+std::string walk_block(const Json& obj, unsigned block, Cfg& cfg);
+
+/// Applies one key's value: an object is walked as the row's block (errors
+/// inside it are prefixed with the block's name), anything else is read
+/// into the row's field.
+std::string apply_key(const KeyRow& row, const Json& value, Cfg& cfg) {
+  if (row.nested != 0 && value.is_object()) {
+    if (std::string error = walk_block(value, row.nested, cfg); !error.empty()) {
+      return std::string(row.key) + ": " + error;
+    }
+    if (const auto* enable = std::get_if<FieldRef<bool>>(&row.field)) (*enable)(cfg) = true;
+    return {};
+  }
+  if (read_value(row, value, cfg)) return {};
+  return "key '" + std::string(row.key) + "' must be " + expected(row);
+}
+
+/// Walks one object as `block`: rejects keys without a row there, applies
+/// the present rows in table order (an entry leaves its axes to the cross
+/// product), then checks the block's cross-key rules.
+std::string walk_block(const Json& obj, unsigned block, Cfg& cfg) {
+  for (const auto& [key, value] : obj.entries()) {
+    if (find_row(key, block) != nullptr) continue;
+    return find_row(key, ~0u) == nullptr ? "unknown key '" + key + "'"
+                                         : "key '" + key + "' is not allowed here";
+  }
+  for (const KeyRow& row : kSpecKeys) {
+    if ((row.blocks & block) == 0) continue;
+    const Json* value = obj.find(row.key);
+    if (value == nullptr) {
+      if (row.required) return "missing required key '" + std::string(row.key) + "'";
+      continue;
+    }
+    if (row.axis) {
+      // An entry's axes are read per cell by the cross product; `defaults`
+      // gives them one plain value (no per-cell engine object).
+      if (block == kEntry) continue;
+      if (value->is_object()) {
+        return "key '" + std::string(row.key) + "' must be a name here (objects go in entries)";
+      }
+    }
+    if (std::string error = apply_key(row, *value, cfg); !error.empty()) return error;
+  }
+  if (block == kGraph) {
+    // A packed store knows its own shape; only kind "file" takes a path.
+    if (cfg.graph.family == "file") {
+      if (cfg.graph.path.empty()) return "kind 'file' needs a non-empty 'path'";
+      for (const auto& [key, value] : obj.entries()) {
+        if (key != "kind" && key != "path") {
+          return "key '" + key +
+                 "' is not allowed with kind 'file' (the store knows its own shape)";
+        }
+      }
+    } else if (!cfg.graph.path.empty()) {
+      return "key 'path' is only allowed with kind 'file'";
+    }
+  }
+  if (block == kEngine && obj.find("lanes") != nullptr && cfg.engine != EngineKind::kBatchSync) {
+    return "key 'lanes' is only allowed with kind 'batch_sync'";
+  }
+  return {};
+}
+
+/// A scalar-or-array key as its elements (one for a scalar, none when the
+/// key is absent).
+std::vector<const Json*> scalar_or_array(const Json& obj, std::string_view key) {
   std::vector<const Json*> out;
   const Json* v = obj.find(key);
   if (v == nullptr) return out;
@@ -1021,190 +1276,6 @@ std::vector<const Json*> scalar_or_array(const Json& obj, const std::string& key
     out.push_back(v);
   }
   return out;
-}
-
-constexpr const char* kKnownKeys[] = {
-    "id",     "graph",  "n",    "p",       "degree", "beta",
-    "average_degree", "graph_seed", "engine", "mode", "view", "aux",
-    "source", "trials", "seed", "hp_q",    "reservoir_capacity",
-    "message_loss", "screen_trials", "finalists", "final_trials", "max_candidates",
-    "race", "dynamics", "curves",
-};
-
-template <std::size_t N>
-bool known_key(const std::string& key, const char* const (&keys)[N]) {
-  return std::find_if(std::begin(keys), std::end(keys),
-                      [&key](const char* k) { return key == k; }) != std::end(keys);
-}
-
-/// Prefixes `error` with the nested block's name, so "unknown key" and
-/// range errors inside `race`/`dynamics` name both the block and the key.
-void prefix_block_error(std::string& error, const char* block) {
-  if (!error.empty() && error.rfind(block, 0) != 0) {
-    error = std::string(block) + error;
-  }
-}
-
-/// The nested `race` tuning block; the flat top-level keys remain as
-/// aliases (parsed after this, so they win on conflict).
-void apply_race_block(const Json& obj, SourceRaceOptions& race, std::string& error) {
-  // Bail on a pre-existing error: prefix_block_error below must only ever
-  // label errors that actually originated inside this block.
-  if (!error.empty()) return;
-  const Json* block = obj.find("race");
-  if (block == nullptr) return;
-  if (!block->is_object()) {
-    error = "key 'race' must be an object";
-    return;
-  }
-  static constexpr const char* kRaceKeys[] = {"screen_trials", "finalists", "final_trials",
-                                              "max_candidates"};
-  for (const auto& [key, value] : block->entries()) {
-    if (!known_key(key, kRaceKeys)) {
-      error = "race: unknown key '" + key + "'";
-      return;
-    }
-  }
-  race.screen_trials = uint_or(*block, "screen_trials", race.screen_trials, error);
-  race.finalists = static_cast<std::uint32_t>(uint_or(*block, "finalists", race.finalists, error));
-  race.final_trials = uint_or(*block, "final_trials", race.final_trials, error);
-  race.max_candidates =
-      static_cast<std::uint32_t>(uint_or(*block, "max_candidates", race.max_candidates, error));
-  prefix_block_error(error, "race: ");
-}
-
-/// The nested `curves` block (spread telemetry): its presence enables
-/// per-round/per-time informed-count curve and contact accounting for the
-/// cell. {"points": <grid length>, "time_bucket": <async bucket width>}.
-void apply_curves_block(const Json& obj, CurveSpec& curves, std::string& error) {
-  // Bail on a pre-existing error: prefix_block_error below must only ever
-  // label errors that actually originated inside this block.
-  if (!error.empty()) return;
-  const Json* block = obj.find("curves");
-  if (block == nullptr) return;
-  if (!block->is_object()) {
-    error = "key 'curves' must be an object";
-    return;
-  }
-  static constexpr const char* kCurvesKeys[] = {"points", "time_bucket"};
-  for (const auto& [key, value] : block->entries()) {
-    if (!known_key(key, kCurvesKeys)) {
-      error = "curves: unknown key '" + key + "'";
-      return;
-    }
-  }
-  curves.enabled = true;
-  curves.points =
-      static_cast<std::uint32_t>(uint_or(*block, "points", curves.points, error));
-  if (curves.points == 0) error = "key 'points' must be >= 1";
-  curves.time_bucket = number_or(*block, "time_bucket", curves.time_bucket, error);
-  if (!(curves.time_bucket > 0.0)) error = "key 'time_bucket' must be > 0";
-  prefix_block_error(error, "curves: ");
-}
-
-/// The nested `dynamics` block: churn model + parameters and weight model
-/// + parameters. Merges over the defaults' block key by key.
-void apply_dynamics_block(const Json& obj, dynamics::DynamicsSpec& spec, std::string& error) {
-  // Bail on a pre-existing error: prefix_block_error below must only ever
-  // label errors that actually originated inside this block.
-  if (!error.empty()) return;
-  const Json* block = obj.find("dynamics");
-  if (block == nullptr) return;
-  if (!block->is_object()) {
-    error = "key 'dynamics' must be an object";
-    return;
-  }
-  static constexpr const char* kDynamicsKeys[] = {"churn",  "birth",        "death",
-                                                  "rewire_p", "period",     "weights",
-                                                  "weight_alpha", "dynamics_seed"};
-  for (const auto& [key, value] : block->entries()) {
-    if (!known_key(key, kDynamicsKeys)) {
-      error = "dynamics: unknown key '" + key + "'";
-      return;
-    }
-  }
-  const std::string churn = string_or(*block, "churn", "", error);
-  if (churn == "none") spec.churn.model = dynamics::ChurnModel::kNone;
-  else if (churn == "markov") spec.churn.model = dynamics::ChurnModel::kMarkov;
-  else if (churn == "rewire") spec.churn.model = dynamics::ChurnModel::kRewire;
-  else if (!churn.empty()) error = "unknown churn model '" + churn + "'";
-  spec.churn.birth = number_or(*block, "birth", spec.churn.birth, error);
-  spec.churn.death = number_or(*block, "death", spec.churn.death, error);
-  if (spec.churn.birth < 0.0 || spec.churn.birth > 1.0 || spec.churn.death < 0.0 ||
-      spec.churn.death > 1.0) {
-    error = "keys 'birth' and 'death' must be in [0, 1]";
-  }
-  spec.churn.rewire = number_or(*block, "rewire_p", spec.churn.rewire, error);
-  if (spec.churn.rewire < 0.0 || spec.churn.rewire > 1.0) {
-    error = "key 'rewire_p' must be in [0, 1]";
-  }
-  spec.churn.period = uint_or(*block, "period", spec.churn.period, error);
-  if (spec.churn.period == 0) error = "key 'period' must be >= 1";
-  const std::string weights = string_or(*block, "weights", "", error);
-  if (weights == "none") spec.weights.model = dynamics::WeightModel::kNone;
-  else if (weights == "uniform") spec.weights.model = dynamics::WeightModel::kUniform;
-  else if (weights == "degree") spec.weights.model = dynamics::WeightModel::kDegree;
-  else if (weights == "heavy_tailed") spec.weights.model = dynamics::WeightModel::kHeavyTailed;
-  else if (!weights.empty()) error = "unknown weight model '" + weights + "'";
-  spec.weights.alpha = number_or(*block, "weight_alpha", spec.weights.alpha, error);
-  if (spec.weights.alpha <= 0.0) error = "key 'weight_alpha' must be > 0";
-  spec.seed = uint_or(*block, "dynamics_seed", spec.seed, error);
-  prefix_block_error(error, "dynamics: ");
-}
-
-/// The "graph" key: a family-name string, or an object
-/// {"kind": <family> | "file", ...} carrying per-graph parameter overrides.
-/// Kind "file" instead takes "path" (a packed graph store,
-/// graph/graph_store.hpp) and rejects generator parameters — the store
-/// knows its own shape.
-void apply_graph_key(const Json& obj, CampaignConfig& cfg, std::string& error) {
-  if (!error.empty()) return;
-  const Json* g = obj.find("graph");
-  if (g == nullptr) return;
-  if (g->is_string()) {
-    cfg.graph.family = g->as_string();
-    return;
-  }
-  if (!g->is_object()) {
-    error = "key 'graph' must be a family name or an object with 'kind'";
-    return;
-  }
-  static constexpr const char* kGraphKeys[] = {"kind", "path",           "p",
-                                               "degree", "beta", "average_degree",
-                                               "graph_seed"};
-  for (const auto& [key, value] : g->entries()) {
-    if (!known_key(key, kGraphKeys)) {
-      error = "graph: unknown key '" + key + "'";
-      return;
-    }
-  }
-  cfg.graph.family = string_or(*g, "kind", "", error);
-  if (cfg.graph.family.empty() && error.empty()) error = "missing required key 'kind'";
-  cfg.graph.path = string_or(*g, "path", "", error);
-  if (cfg.graph.family == "file") {
-    if (cfg.graph.path.empty() && error.empty()) error = "kind 'file' needs a non-empty 'path'";
-    static constexpr const char* kGeneratorOnly[] = {"p", "degree", "beta", "average_degree",
-                                                     "graph_seed"};
-    for (const char* key : kGeneratorOnly) {
-      if (g->find(key) != nullptr && error.empty()) {
-        error = std::string("key '") + key +
-                "' is not allowed with kind 'file' (the store knows its own shape)";
-      }
-    }
-  } else if (!cfg.graph.path.empty()) {
-    if (error.empty()) error = "key 'path' is only allowed with kind 'file'";
-  } else {
-    cfg.graph.p = number_or(*g, "p", cfg.graph.p, error);
-    if (cfg.graph.p < 0.0 || cfg.graph.p > 1.0) error = "key 'p' must be in [0, 1]";
-    cfg.graph.degree = static_cast<std::uint32_t>(uint_or(*g, "degree", cfg.graph.degree, error));
-    cfg.graph.beta = number_or(*g, "beta", cfg.graph.beta, error);
-    cfg.graph.average_degree = number_or(*g, "average_degree", cfg.graph.average_degree, error);
-    if (cfg.graph.beta <= 0.0 || cfg.graph.average_degree <= 0.0) {
-      error = "keys 'beta' and 'average_degree' must be positive";
-    }
-    cfg.graph.graph_seed = uint_or(*g, "graph_seed", cfg.graph.graph_seed, error);
-  }
-  prefix_block_error(error, "graph: ");
 }
 
 }  // namespace
@@ -1217,101 +1288,32 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
   }
   // A misspelled top-level key ("defualts") would otherwise silently drop
   // everything under it.
-  static constexpr const char* kTopLevelKeys[] = {"name", "defaults", "configs"};
   for (const auto& [key, value] : doc.entries()) {
-    if (!known_key(key, kTopLevelKeys)) {
+    if (key != "name" && key != "defaults" && key != "configs") {
       spec.error = "unknown top-level key '" + key + "' (expected name, defaults, configs)";
       return spec;
     }
   }
-  std::string error;
-  spec.name = string_or(doc, "name", "campaign", error);
+  spec.name = "campaign";
+  if (const Json* name = doc.find("name"); name != nullptr) {
+    if (!name->is_string()) {
+      spec.error = "key 'name' must be a string";
+      return spec;
+    }
+    spec.name = name->as_string();
+  }
 
   // Defaults applied to every config entry (each entry may override).
   CampaignConfig proto;
-  const Json* defaults = doc.find("defaults");
-  Json empty_defaults = Json::object();
-  if (defaults == nullptr) defaults = &empty_defaults;
-  if (!defaults->is_object()) {
-    spec.error = "'defaults' must be an object";
-    return spec;
-  }
-
-  auto apply_scalars = [&error](const Json& obj, CampaignConfig& cfg) {
-    cfg.trials = uint_or(obj, "trials", cfg.trials, error);
-    cfg.seed = uint_or(obj, "seed", cfg.seed, error);
-    // "source" is a node id (fixed policy) or the policy string "race" /
-    // "fixed"; anything else is a spec error.
-    if (const Json* src = obj.find("source"); src != nullptr) {
-      if (src->is_number()) {
-        const double v = src->as_number();
-        if (v < 0.0 || v != std::floor(v)) {
-          error = "key 'source' must be a non-negative integer node id or \"race\"";
-        } else {
-          cfg.source = static_cast<graph::NodeId>(v);
-          cfg.source_policy = SourcePolicy::kFixed;
-        }
-      } else if (src->is_string() && src->as_string() == "race") {
-        cfg.source_policy = SourcePolicy::kRace;
-      } else if (src->is_string() && src->as_string() == "fixed") {
-        cfg.source_policy = SourcePolicy::kFixed;
-      } else {
-        error = "key 'source' must be a non-negative integer node id, \"fixed\", or \"race\"";
-      }
-    }
-    apply_race_block(obj, cfg.race, error);
-    cfg.race.screen_trials = uint_or(obj, "screen_trials", cfg.race.screen_trials, error);
-    if (cfg.race.screen_trials == 0) error = "key 'screen_trials' must be >= 1";
-    cfg.race.finalists = static_cast<std::uint32_t>(
-        uint_or(obj, "finalists", cfg.race.finalists, error));
-    if (cfg.race.finalists == 0) error = "key 'finalists' must be >= 1";
-    cfg.race.final_trials = uint_or(obj, "final_trials", cfg.race.final_trials, error);
-    cfg.race.max_candidates = static_cast<std::uint32_t>(
-        uint_or(obj, "max_candidates", cfg.race.max_candidates, error));
-    cfg.message_loss = number_or(obj, "message_loss", cfg.message_loss, error);
-    if (cfg.message_loss < 0.0 || cfg.message_loss >= 1.0) {
-      error = "key 'message_loss' must be in [0, 1)";
-    }
-    apply_dynamics_block(obj, cfg.dynamics, error);
-    apply_curves_block(obj, cfg.curves, error);
-    cfg.hp_q = number_or(obj, "hp_q", cfg.hp_q, error);
-    if (cfg.hp_q < 0.0 || cfg.hp_q >= 1.0) error = "key 'hp_q' must be in [0, 1)";
-    cfg.reservoir_capacity =
-        static_cast<std::size_t>(uint_or(obj, "reservoir_capacity", cfg.reservoir_capacity, error));
-    cfg.graph.p = number_or(obj, "p", cfg.graph.p, error);
-    if (cfg.graph.p < 0.0 || cfg.graph.p > 1.0) error = "key 'p' must be in [0, 1]";
-    cfg.graph.degree = static_cast<std::uint32_t>(uint_or(obj, "degree", cfg.graph.degree, error));
-    cfg.graph.beta = number_or(obj, "beta", cfg.graph.beta, error);
-    cfg.graph.average_degree = number_or(obj, "average_degree", cfg.graph.average_degree, error);
-    if (cfg.graph.beta <= 0.0 || cfg.graph.average_degree <= 0.0) {
-      error = "keys 'beta' and 'average_degree' must be positive";
-    }
-    cfg.graph.graph_seed = uint_or(obj, "graph_seed", cfg.graph.graph_seed, error);
-    const std::string view = string_or(obj, "view", "", error);
-    if (view == "per-node") cfg.view = core::AsyncView::kPerNodeClocks;
-    else if (view == "per-edge") cfg.view = core::AsyncView::kPerEdgeClocks;
-    else if (view == "global-clock") cfg.view = core::AsyncView::kGlobalClock;
-    else if (!view.empty()) error = "unknown async view '" + view + "'";
-    const std::string aux = string_or(obj, "aux", "", error);
-    if (aux == "ppx") cfg.aux = core::AuxKind::kPpx;
-    else if (aux == "ppy") cfg.aux = core::AuxKind::kPpy;
-    else if (!aux.empty()) error = "unknown aux kind '" + aux + "'";
-  };
-
-  // The same typo protection configs get: every defaults key must be known,
-  // and per-entry-only keys (id/graph/n) make no sense as shared values.
-  for (const auto& [key, value] : defaults->entries()) {
-    if (!known_key(key, kKnownKeys) || key == "id" || key == "graph" || key == "n") {
-      spec.error = "defaults: key '" + key + "' is not allowed here";
+  if (const Json* defaults = doc.find("defaults"); defaults != nullptr) {
+    if (!defaults->is_object()) {
+      spec.error = "'defaults' must be an object";
       return spec;
     }
-  }
-  apply_scalars(*defaults, proto);
-  const std::string default_engine = string_or(*defaults, "engine", "sync", error);
-  const std::string default_mode = string_or(*defaults, "mode", "push-pull", error);
-  if (!error.empty()) {
-    spec.error = "defaults: " + error;
-    return spec;
+    if (std::string error = walk_block(*defaults, kDefaults, proto); !error.empty()) {
+      spec.error = "defaults: " + error;
+      return spec;
+    }
   }
 
   const Json* entries = doc.find("configs");
@@ -1320,6 +1322,9 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
     return spec;
   }
 
+  const KeyRow& n_row = *find_row("n", kEntry);
+  const KeyRow& engine_row = *find_row("engine", kEntry);
+  const KeyRow& mode_row = *find_row("mode", kEntry);
   // id -> the spec entry that first produced it. Collisions (explicit or
   // auto-derived) are rejected: checkpoints, shards, and merge address
   // configurations by id, so silently suffixing "#1" would make snapshot
@@ -1332,30 +1337,12 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
       spec.error = where + " must be an object";
       return spec;
     }
-    for (const auto& [key, value] : entry.entries()) {
-      if (!known_key(key, kKnownKeys)) {
-        spec.error = where + ": unknown key '" + key + "'";
-        return spec;
-      }
-    }
-
     CampaignConfig base = proto;
-    apply_scalars(entry, base);
-    apply_graph_key(entry, base, error);
-    if (!error.empty()) {
+    if (std::string error = walk_block(entry, kEntry, base); !error.empty()) {
       spec.error = where + ": " + error;
-      return spec;
-    }
-    if (base.graph.family.empty()) {
-      spec.error = where + ": missing required key 'graph'";
       return spec;
     }
     const bool file_graph = base.graph.family == "file";
-    const std::string explicit_id = string_or(entry, "id", "", error);
-    if (!error.empty()) {
-      spec.error = where + ": " + error;
-      return spec;
-    }
 
     // "n", "engine", and "mode" may be arrays; expand their cross product.
     // File-backed cells have no "n" (the store knows its own), so their
@@ -1372,80 +1359,25 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
       spec.error = where + ": missing required key 'n'";
       return spec;
     }
+    auto apply_axis = [](const KeyRow& row, const std::vector<const Json*>& values,
+                         std::size_t i, CampaignConfig& cfg) {
+      return values.empty() ? std::string() : apply_key(row, *values[i], cfg);
+    };
     for (std::size_t ni = 0; ni < std::max<std::size_t>(ns.size(), 1); ++ni) {
-      const Json* n_value = ns.empty() ? nullptr : ns[ni];
-      if (n_value != nullptr && (!n_value->is_number() || n_value->as_number() < 2.0)) {
-        spec.error = where + ": 'n' entries must be numbers >= 2";
-        return spec;
-      }
       for (std::size_t ei = 0; ei < std::max<std::size_t>(engines.size(), 1); ++ei) {
         for (std::size_t mi = 0; mi < std::max<std::size_t>(modes.size(), 1); ++mi) {
           CampaignConfig cfg = base;
-          if (n_value != nullptr) cfg.graph.n = static_cast<std::uint64_t>(n_value->as_number());
-          std::string engine_str = default_engine;
-          if (!engines.empty()) {
-            const Json& engine_value = *engines[ei];
-            if (engine_value.is_string()) {
-              engine_str = engine_value.as_string();
-            } else if (engine_value.is_object()) {
-              // Object form {"kind": ..., "lanes": ...}: lanes is the batch
-              // engine's lane width — and, via effective_block_size, the
-              // cell's trial block size — the only per-engine knob so far.
-              static constexpr const char* kEngineKeys[] = {"kind", "lanes"};
-              for (const auto& [key, value] : engine_value.entries()) {
-                if (!known_key(key, kEngineKeys)) {
-                  spec.error = where + ": engine: unknown key '" + key + "'";
-                  return spec;
-                }
-              }
-              std::string engine_error;
-              engine_str = string_or(engine_value, "kind", "", engine_error);
-              if (engine_str.empty() && engine_error.empty()) {
-                engine_error = "missing required key 'kind'";
-              }
-              const std::uint64_t lanes =
-                  uint_or(engine_value, "lanes", core::kMaxBatchLanes, engine_error);
-              if (engine_error.empty() && engine_value.find("lanes") != nullptr &&
-                  engine_str != "batch_sync") {
-                engine_error = "key 'lanes' is only allowed with kind 'batch_sync'";
-              }
-              if (engine_error.empty() && (lanes == 0 || lanes > core::kMaxBatchLanes)) {
-                engine_error =
-                    "key 'lanes' must be in 1.." + std::to_string(core::kMaxBatchLanes);
-              }
-              if (!engine_error.empty()) {
-                spec.error = where + ": engine: " + engine_error;
-                return spec;
-              }
-              cfg.lanes = static_cast<std::uint32_t>(lanes);
-            } else {
-              spec.error = where + ": 'engine' entries must be names or {\"kind\": ...} objects";
-              return spec;
-            }
-          }
-          if (!parse_engine(engine_str, cfg.engine)) {
-            spec.error = where + ": unknown engine '" + engine_str + "'";
-            return spec;
-          }
-          std::string mode_str = default_mode;
-          if (!modes.empty()) {
-            if (!modes[mi]->is_string()) {
-              spec.error = where + ": 'mode' entries must be strings";
-              return spec;
-            }
-            mode_str = modes[mi]->as_string();
-          }
-          if (!parse_mode(mode_str, cfg.mode)) {
-            spec.error = where + ": unknown mode '" + mode_str + "'";
-            return spec;
-          }
+          std::string error = apply_axis(n_row, ns, ni, cfg);
+          if (error.empty()) error = apply_axis(engine_row, engines, ei, cfg);
+          if (error.empty()) error = apply_axis(mode_row, modes, mi, cfg);
           // The same rules run_campaign enforces, caught at parse time
           // where the message can cite the spec entry.
-          if (const std::string cfg_error = config_error(cfg); !cfg_error.empty()) {
-            spec.error = where + ": " + cfg_error;
+          if (error.empty()) error = config_error(cfg);
+          if (!error.empty()) {
+            spec.error = where + ": " + error;
             return spec;
           }
-          std::string id = explicit_id;
+          std::string id = base.id;
           if (id.empty()) {
             std::string graph_tag = cfg.graph.family + "_n" + std::to_string(cfg.graph.n);
             if (file_graph) {
@@ -1478,8 +1410,7 @@ CampaignSpec parse_campaign_spec(const Json& doc) {
           if (!inserted) {
             spec.error = where + ": config id '" + id + "' collides with a cell of configs[" +
                          std::to_string(first->second) + "]" +
-                         (explicit_id.empty() ? "; give the entries distinct explicit \"id\"s"
-                                              : "");
+                         (base.id.empty() ? "; give the entries distinct explicit \"id\"s" : "");
             return spec;
           }
           cfg.id = id;

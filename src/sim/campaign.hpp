@@ -64,7 +64,11 @@ using core::engine_name;
 enum class SourcePolicy : std::uint8_t { kFixed, kRace };
 
 [[nodiscard]] constexpr const char* source_policy_name(SourcePolicy p) noexcept {
-  return p == SourcePolicy::kRace ? "race" : "fixed";
+  switch (p) {
+    case SourcePolicy::kFixed: return "fixed";
+    case SourcePolicy::kRace: return "race";
+  }
+  return "?";
 }
 
 /// Tuning for SourcePolicy::kRace (mirrors WorstSourceOptions, which
@@ -275,48 +279,20 @@ struct CampaignResult {
 [[nodiscard]] CampaignResult campaign_result_skeleton(const CampaignConfig& cfg,
                                                       std::size_t index);
 
-/// Parses a campaign spec document into configurations. Grammar (all
-/// `defaults` keys optional, every config key overridable per entry):
+/// Parses a campaign spec document into configurations:
 ///
-///   { "name": "sweep",                     // optional campaign id prefix
-///     "defaults": { "trials": 200, "seed": 1, "engine": "sync",
-///                   "mode": "push-pull", "source": 0, "hp_q": 0 },
-///     "configs": [
-///       { "graph": "star", "n": [256, 1024, 4096] },   // arrays expand
-///       { "graph": "random_regular", "n": 512, "degree": 6,
-///         "engine": ["sync", "async"], "graph_seed": 42 },
-///       { "graph": {"kind": "file", "path": "web.rgs"} },  // packed store
-///       { "graph": {"kind": "chung_lu", "beta": 2.1,       // object form
-///                   "average_degree": 6}, "n": 10000 },
-///       { "graph": "star", "n": 512, "source": "race",  // worst-source race
-///         "race": { "screen_trials": 10, "finalists": 4 } },
-///       { "graph": "hypercube", "n": 1024,               // churn + weights
-///         "dynamics": { "churn": "markov", "birth": 0.05, "death": 0.05,
-///                       "weights": "heavy_tailed", "weight_alpha": 1.5 } },
-///       { "graph": "hypercube", "n": 1024,               // spread telemetry
-///         "curves": { "points": 96, "time_bucket": 0.25 } },
-///       { "graph": "hypercube", "n": 4096,               // batch lanes
-///         "engine": { "kind": "batch_sync", "lanes": 64 } } ] }
+///   { "name": "sweep",                       // optional campaign id prefix
+///     "defaults": { "trials": 200, "seed": 1 },  // shared by every entry
+///     "configs": [ { "graph": "star", "n": [256, 1024],
+///                    "engine": ["sync", "async"] } ] }
 ///
-/// "n", "engine", and "mode" accept scalars or arrays; array-valued keys
-/// expand to their cross product, so a compact spec can describe thousands
-/// of configurations. "graph" is a family name, or an object
-/// {"kind": <family>, ...family params...} — where kind "file" instead
-/// takes "path" (a packed graph store; "n" and generator params are then
-/// rejected, the store knows its own shape). "engine" entries are engine
-/// names, or the object {"kind": "batch_sync", "lanes": 1..64} for the
-/// lane-parallel sync engine (distributional contract, docs/ENGINES.md;
-/// incompatible with "race", "dynamics", and "curves"). "source" is a node
-/// id (fixed policy) or the string
-/// "race" (worst-source racing, tuned by the nested "race" block — or the
-/// equivalent flat keys "screen_trials" / "finalists" / "final_trials" /
-/// "max_candidates"). "dynamics" configures churn overlays and weighted
-/// contact rates. A "curves" block ({"points", "time_bucket"}) enables
-/// spread telemetry — informed-count curves, phase decomposition, and
-/// contact accounting under the report's stats.curves — and requires a
-/// sync/async/quasirandom engine with a fixed source. Unknown keys inside
-/// the nested blocks are rejected with an error naming the key. See
-/// bench/README.md for the full reference.
+/// Each key's blocks (entry, defaults, or the nested race / graph /
+/// dynamics / curves / engine objects), type, range and default is one row
+/// of the parser's key table, listed row for row in bench/README.md ("Spec
+/// keys"). In an entry, "n", "engine" and "mode" may be arrays that expand
+/// to their cross product; cell ids derive from graph, engine and mode
+/// unless given, and colliding ids are rejected. An error names the entry
+/// ("configs[i]"), the block and the key.
 struct CampaignSpec {
   std::string name;  // defaults to "campaign"
   std::vector<CampaignConfig> configs;

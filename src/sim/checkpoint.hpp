@@ -149,10 +149,11 @@ struct CampaignOutcome {
 
 /// Loads a campaign spec file and applies the rumor_bench CLI override
 /// semantics (--trials replaces every trial count, --scale multiplies the
-/// spec's own counts otherwise, --seed replaces every root seed). Shared by
-/// rumor_bench and tools/campaign_merge so both resolve identical configs —
-/// a prerequisite for spec-hash validation. Returns nullopt after printing
-/// a `prog`-prefixed diagnostic to `err`.
+/// spec's own counts otherwise, --seed replaces every root seed), so a run,
+/// its resume and its merge (rumor_bench --merge, which tools/campaign_merge
+/// runs) resolve identical configs — a prerequisite for spec-hash
+/// validation. Returns nullopt after printing a `prog`-prefixed diagnostic
+/// to `err`.
 [[nodiscard]] std::optional<CampaignSpec> load_campaign_spec_file(const std::string& path,
                                                                   std::uint64_t trials_override,
                                                                   std::uint64_t seed_override,
@@ -175,14 +176,6 @@ struct CampaignOutcome {
 void report_stale_snapshots(const std::vector<Json>& snapshots,
                             const std::vector<std::string>& names, const char* prog,
                             std::ostream& err);
-
-/// The tools/campaign_merge entry point:
-///   campaign_merge --campaign spec.json [--out FILE] [--trials N]
-///                  [--seed S] [--scale K] shard1.json shard2.json ...
-/// Exit codes match rumor_bench: 0 = merged, 1 = merge validation failure,
-/// 2 = bad input. rumor_bench --merge drives the same merge path.
-int run_campaign_merge_cli(int argc, const char* const* argv, std::ostream& out,
-                           std::ostream& err);
 
 // --- The pass model (internal) ----------------------------------------------
 //

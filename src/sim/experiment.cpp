@@ -505,6 +505,12 @@ unsigned env_scale() {
   return static_cast<unsigned>(std::clamp(v, 1L, 64L));
 }
 
+/// One report is emitted as its object (the common scripted case), several
+/// as an array.
+void print_reports_json(const Json& reports, std::ostream& out) {
+  out << (reports.size() == 1 ? reports.elements().front() : reports).dump(2) << "\n";
+}
+
 void print_usage(std::ostream& out) {
   out << "usage: rumor_bench [options] (--all | <experiment>...)\n"
          "       rumor_bench --list [--json]\n"
@@ -530,7 +536,7 @@ void print_usage(std::ostream& out) {
          "                   and the final report is bit-identical to an unbroken run\n"
          "  --stop-after-blocks N  stop after N blocks (exit 3; testing/ops hook)\n"
          "  --merge          fold finished shard snapshots (positional args) into the\n"
-         "                   final report (also available as tools/campaign_merge)\n"
+         "                   final report (tools/campaign_merge runs this mode)\n"
          "  --trace FILE     write a Chrome/Perfetto trace of the campaign run to FILE\n"
          "                   (per-worker block/graph-build/merge spans + metrics; fold\n"
          "                   with tools/trace_report.py)\n"
@@ -951,13 +957,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
           print_human(report, sink);
         }
       }
-      if (json) {
-        if (reports.size() == 1) {
-          sink << reports.elements().front().dump(2) << "\n";
-        } else {
-          sink << reports.dump(2) << "\n";
-        }
-      }
+      if (json) print_reports_json(reports, sink);
       return finish();
     };
 
@@ -1057,8 +1057,8 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       return 3;
     }
     if (campaign_options.shard_count > 1 || shard_explicit) {
-      // A shard emits its partial snapshot, not a report; campaign_merge
-      // (or rumor_bench --merge) folds the partials into the final report.
+      // A shard emits its partial snapshot, not a report; --merge folds
+      // the partials into the final report.
       sink << outcome.snapshot.dump(2) << "\n";
       return finish();
     }
@@ -1093,15 +1093,7 @@ int run_bench_cli(int argc, const char* const* argv, std::ostream& out, std::ost
       print_human(report, sink);
     }
   }
-  if (json) {
-    // A single selected experiment emits its object directly (the common
-    // scripted case); multiple selections emit the array.
-    if (reports.size() == 1) {
-      sink << reports.elements().front().dump(2) << "\n";
-    } else {
-      sink << reports.dump(2) << "\n";
-    }
-  }
+  if (json) print_reports_json(reports, sink);
   return finish();
 }
 

@@ -447,6 +447,9 @@ TEST(BatchCampaignSpec, RejectsInvalidBatchCombinations) {
           "engine": {"kind": "batch_sync", "width": 8}}]})",
       R"({"configs": [{"graph": "star", "n": 64, "engine": {"lanes": 8}}]})",
       R"({"configs": [{"graph": "star", "n": 64, "engine": 7}]})",
+      // the engine object is per entry, not a shared default
+      R"({"defaults": {"engine": {"kind": "batch_sync", "lanes": 8}},
+          "configs": [{"graph": "star", "n": 64}]})",
       // batching is incompatible with racing, curves, and dynamics
       R"({"configs": [{"graph": "star", "n": 64, "engine": "batch_sync",
           "source": "race"}]})",

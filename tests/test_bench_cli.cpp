@@ -389,8 +389,17 @@ TEST(BenchCli, CampaignRejectsBadSpecs) {
                                          R"({"configs": [{"graph": "star", "n": 32, "trails": 2}]})");
   run_bench("--campaign " + bad_key + " 2>/dev/null", &status);
   EXPECT_NE(status, 0);
+
+  // A value past its field's range is bad input (exit 2) naming the key,
+  // not a narrowed run (exit 0) or a failure mid-campaign (exit 1).
+  const std::string too_big = write_spec(
+      "bench_cli_range.json", R"({"configs": [{"graph": "star", "n": 32, "trials": 1e30}]})");
+  const std::string err = run_bench("--campaign " + too_big + " --json 2>&1 1>/dev/null", &status);
+  EXPECT_EQ(status, 2) << err;
+  EXPECT_NE(err.find("bad campaign spec: configs[0]: key 'trials'"), std::string::npos) << err;
   std::remove(malformed.c_str());
   std::remove(bad_key.c_str());
+  std::remove(too_big.c_str());
 }
 
 TEST(BenchCli, CampaignConflictsWithExperimentSelection) {

@@ -20,6 +20,7 @@
 #include "rng/rng.hpp"
 #include "sim/adversary.hpp"
 #include "sim/campaign.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 #include "sim/harness.hpp"
 
@@ -596,6 +597,62 @@ TEST(CampaignSpecParsing, RejectsNegativeAndFractionalCounts) {
                           R"({"configs": [{"graph": "star", "n": 64, "p": -0.2}]})"}) {
     EXPECT_FALSE(parse(bad).error.empty()) << bad;
   }
+  // Integers past their field (or past 2^53, where doubles stop being
+  // exact) are rejected at parse, naming the key, instead of being
+  // narrowed or cast out of range.
+  const struct {
+    const char* text;
+    const char* key;
+  } narrowed[] = {
+      {R"({"configs": [{"graph": "star", "n": 64, "source": 4294967297}]})", "'source'"},
+      {R"({"configs": [{"graph": "random_regular", "n": 64, "degree": 4294967300}]})",
+       "'degree'"},
+      {R"({"configs": [{"graph": "star", "n": 64, "curves": {"points": 4294967297}}]})",
+       "curves: key 'points'"},
+      {R"({"configs": [{"graph": "star", "n": 64, "source": "race",
+                        "max_candidates": 4294967296}]})",
+       "'max_candidates'"},
+      {R"({"configs": [{"graph": "star", "n": 32.5}]})", "'n'"},
+      {R"({"configs": [{"graph": "star", "n": 64, "trials": 1e30}]})", "'trials'"},
+      {R"({"configs": [{"graph": "star", "n": 1e30}]})", "'n'"},
+      {R"({"configs": [{"graph": "star", "n": 64, "source": 1e20}]})", "'source'"},
+      {R"({"configs": [{"graph": "star", "n": 64, "seed": 9007199254740994}]})", "'seed'"},
+      {R"({"configs": [{"graph": "star", "n": 4294967296}]})", "'n'"},
+  };
+  for (const auto& c : narrowed) {
+    const std::string error = parse(c.text).error;
+    EXPECT_EQ(error.rfind("configs[0]: ", 0), 0u) << c.text << " -> " << error;
+    EXPECT_NE(error.find(c.key), std::string::npos) << c.text << " -> " << error;
+  }
+}
+
+TEST(CampaignSpecParsing, RejectsValidKeysInTheWrongBlock) {
+  // Every key has one row naming the blocks it may appear in; a key from
+  // another block is rejected naming the block and the key.
+  const struct {
+    const char* text;
+    const char* expect;
+  } cases[] = {
+      {R"({"configs": [{"graph": "star", "n": 64, "source": "race", "race": {"birth": 0.1}}]})",
+       "configs[0]: race: key 'birth' is not allowed here"},
+      {R"({"configs": [{"graph": "star", "n": 64, "curves": {"finalists": 2}}]})",
+       "configs[0]: curves: key 'finalists' is not allowed here"},
+      {R"({"configs": [{"graph": {"kind": "star", "trials": 8}, "n": 64}]})",
+       "configs[0]: graph: key 'trials' is not allowed here"},
+      {R"({"configs": [{"graph": "star", "n": 64,
+                        "engine": {"kind": "batch_sync", "mode": "push"}}]})",
+       "configs[0]: engine: key 'mode' is not allowed here"},
+      {R"({"configs": [{"graph": "star", "n": 64, "dynamics": {"points": 8}}]})",
+       "configs[0]: dynamics: key 'points' is not allowed here"},
+      {R"({"defaults": {"n": 64}, "configs": [{"graph": "star", "n": 64}]})",
+       "defaults: key 'n' is not allowed here"},
+      {R"({"configs": [{"graph": "star", "n": 64, "kind": "star"}]})",
+       "configs[0]: key 'kind' is not allowed here"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_NE(parse(c.text).error.find(c.expect), std::string::npos)
+        << c.text << " -> " << parse(c.text).error;
+  }
 }
 
 TEST(CampaignSpecParsing, RejectsUnknownAndMisplacedDefaultsKeys) {
@@ -938,6 +995,28 @@ TEST(CampaignSpecParsing, GraphObjectFormParsesFileAndFamilyKinds) {
   EXPECT_DOUBLE_EQ(spec.configs[2].graph.beta, 2.1);
   EXPECT_DOUBLE_EQ(spec.configs[2].graph.average_degree, 6.0);
   EXPECT_EQ(spec.configs[2].graph.n, 500u);
+
+  // Every generator parameter sets the same configuration flat and in the
+  // object form, and the object wins over a flat key on conflict.
+  const std::string plain = sim::campaign_fingerprint(
+      "t", parse(R"({"configs": [{"graph": "watts_strogatz", "n": 64}]})").configs);
+  for (const char* kv : {R"("p": 0.25)", R"("degree": 6)", R"("beta": 2.1)",
+                         R"("average_degree": 5)", R"("graph_seed": 42)"}) {
+    const auto flat = parse(std::string(R"({"configs": [{"graph": "watts_strogatz", "n": 64, )") +
+                            kv + "}]}");
+    const auto object = parse(
+        std::string(R"({"configs": [{"graph": {"kind": "watts_strogatz", )") + kv +
+        R"(}, "n": 64}]})");
+    ASSERT_TRUE(flat.error.empty()) << flat.error;
+    ASSERT_TRUE(object.error.empty()) << object.error;
+    const std::string hash = sim::campaign_fingerprint("t", flat.configs);
+    EXPECT_EQ(hash, sim::campaign_fingerprint("t", object.configs)) << kv;
+    EXPECT_NE(hash, plain) << kv;
+  }
+  const auto conflict = parse(R"({"configs": [{"graph": {"kind": "random_regular", "degree": 4},
+                                               "degree": 6, "n": 64}]})");
+  ASSERT_TRUE(conflict.error.empty()) << conflict.error;
+  EXPECT_EQ(conflict.configs[0].graph.degree, 4u);
 }
 
 TEST(CampaignSpecParsing, RejectsBadGraphObjects) {

@@ -22,6 +22,7 @@
 #include "dynamics/weights.hpp"
 #include "rng/rng.hpp"
 #include "sim/campaign.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/experiment.hpp"
 
 using namespace rumor;
@@ -575,6 +576,24 @@ TEST(DynamicsSpecParsing, NestedRaceBlockMatchesFlatKeys) {
   EXPECT_EQ(nested.configs[0].race.finalists, flat.configs[0].race.finalists);
   EXPECT_EQ(nested.configs[0].race.final_trials, flat.configs[0].race.final_trials);
   EXPECT_EQ(nested.configs[0].race.max_candidates, flat.configs[0].race.max_candidates);
+
+  // Each race key alone sets the same configuration flat and nested, and
+  // a flat key wins over the block on conflict.
+  const std::string cell = R"({"configs": [{"graph": "star", "n": 64, "source": "race")";
+  const std::string plain = sim::campaign_fingerprint("t", parse(cell + "}]}").configs);
+  for (const char* kv : {R"("screen_trials": 6)", R"("finalists": 3)", R"("final_trials": 20)",
+                         R"("max_candidates": 10)"}) {
+    const auto flat_one = parse(cell + ", " + kv + "}]}");
+    const auto nested_one = parse(cell + R"(, "race": {)" + kv + "}}]}");
+    ASSERT_TRUE(flat_one.error.empty()) << flat_one.error;
+    ASSERT_TRUE(nested_one.error.empty()) << nested_one.error;
+    const std::string hash = sim::campaign_fingerprint("t", flat_one.configs);
+    EXPECT_EQ(hash, sim::campaign_fingerprint("t", nested_one.configs)) << kv;
+    EXPECT_NE(hash, plain) << kv;
+  }
+  const auto conflict = parse(cell + R"(, "finalists": 3, "race": {"finalists": 5}}]})");
+  ASSERT_TRUE(conflict.error.empty()) << conflict.error;
+  EXPECT_EQ(conflict.configs[0].race.finalists, 3u);
 }
 
 // --- Reports -----------------------------------------------------------------
